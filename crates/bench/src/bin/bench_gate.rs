@@ -22,6 +22,11 @@
 //! cargo run --release -p calib-bench --bin bench_gate -- --update   # refresh baseline
 //! ```
 //!
+//! Besides the baseline comparison, two machine-independent families of
+//! checks run on the fresh files alone: overhead ratios between paired
+//! measurements (`OVERHEAD_CHECKS`) and scaling ratios between one
+//! workload at two sizes (`SCALING_CHECKS`).
+//!
 //! Exit status: 0 on pass, 1 on regression, 2 on usage/IO errors.
 
 use std::fs;
@@ -263,6 +268,9 @@ fn run() -> Result<bool, String> {
     if !overhead_checks(&opts.fresh_dir)? {
         ok = false;
     }
+    if !scaling_checks(&opts.fresh_dir)? {
+        ok = false;
+    }
     Ok(ok)
 }
 
@@ -333,6 +341,65 @@ fn overhead_checks(fresh_dir: &Path) -> Result<bool, String> {
             println!(
                 "PASS {file}: `{num}` is {ratio:.3}x of `{den}` \
                  (bound {max_ratio:.2}x)"
+            );
+        }
+    }
+    Ok(ok)
+}
+
+/// Intra-suite scaling bounds, machine-independent like the overhead
+/// checks: `min(large) / min(small)` for the same workload family at two
+/// sizes. Each entry is `(suite file, family, small n, large n, max ratio)`;
+/// the measurements are `<family>/<n>`. Quadrupling `n` costs 4x for a
+/// linear path and about 16x for a quadratic one, so a bound of 6 admits
+/// `n log n` and noise but fails any quadratic regression.
+const SCALING_CHECKS: [(&str, &str, u64, u64, u64); 4] = [
+    // Engine + scheduler under overload: no queue rescans per event.
+    ("BENCH_alg_online.json", "overload/alg1", 5_000, 20_000, 6),
+    ("BENCH_alg_online.json", "overload/alg2", 5_000, 20_000, 6),
+    ("BENCH_alg_online.json", "overload/alg3", 5_000, 20_000, 6),
+    // The drain-time checker and flow accounting: no per-job linear lookup.
+    ("BENCH_alg_online.json", "checker", 5_000, 20_000, 6),
+];
+
+fn scaling_checks(fresh_dir: &Path) -> Result<bool, String> {
+    let mut ok = true;
+    for (file, family, small, large, max_ratio) in SCALING_CHECKS {
+        let path = fresh_dir.join(file);
+        if !path.exists() {
+            println!("FAIL {file}: missing, cannot check `{family}` scaling");
+            ok = false;
+            continue;
+        }
+        let suite = read_suite(&path)?;
+        // Minimum samples, as in the overhead checks.
+        let min = |n: u64| {
+            let name = format!("{family}/{n}");
+            suite
+                .mins
+                .iter()
+                .find(|(m, _)| *m == name)
+                .map(|(_, ns)| *ns)
+        };
+        let (Some(small_ns), Some(large_ns)) = (min(small), min(large)) else {
+            println!("FAIL {file}: `{family}/{small}` or `{family}/{large}` is missing");
+            ok = false;
+            continue;
+        };
+        // Integer arithmetic throughout: the ratio in hundredths.
+        let centi = large_ns.saturating_mul(100) / small_ns.max(1);
+        let ratio = format!("{}.{:02}x", centi / 100, centi % 100);
+        let growth = large / small;
+        if large_ns > small_ns.saturating_mul(max_ratio) {
+            println!(
+                "FAIL {file}: `{family}` grows {ratio} for {growth}x the jobs \
+                 ({small_ns} -> {large_ns} ns), over the {max_ratio}x bound"
+            );
+            ok = false;
+        } else {
+            println!(
+                "PASS {file}: `{family}` grows {ratio} for {growth}x the jobs \
+                 (bound {max_ratio}x)"
             );
         }
     }

@@ -118,45 +118,71 @@ impl Bench {
         self
     }
 
+    /// Changes the sample count for the measurements that follow, e.g. to
+    /// sample rows that a gate compares as a ratio more densely than the
+    /// rest of the suite.
+    pub fn set_samples(&mut self, samples: u32) {
+        self.samples = samples.max(1);
+    }
+
     /// Times `f`, prints one summary line, and records the measurement.
     pub fn bench<R, F: FnMut() -> R>(&mut self, name: &str, mut f: F) -> &Measurement {
-        // Calibrate: batch cheap closures so one sample spans ~1 ms.
-        let start = Instant::now();
-        black_box(f());
-        let once_ns = (start.elapsed().as_nanos() as u64).max(1);
-        let iters = (TARGET_SAMPLE_NS / once_ns).clamp(1, MAX_ITERS);
-
-        // One warmup sample beyond calibration, then the real samples.
-        for _ in 0..iters {
+        let mut call = || {
             black_box(f());
-        }
-        let mut per_call: Vec<u64> = (0..self.samples)
-            .map(|_| {
+        };
+        self.bench_interleaved(&mut [(name, &mut call)]);
+        self.results.last().expect("just pushed")
+    }
+
+    /// Times several closures with their samples interleaved — sample `i`
+    /// of every row is taken before sample `i + 1` of any — so rows that
+    /// are compared with each other (a scaling pair) see the same host
+    /// state, whatever noise comes and goes during the run. Records one
+    /// measurement per row, in order.
+    pub fn bench_interleaved(&mut self, rows: &mut [(&str, &mut dyn FnMut())]) {
+        // Calibrate: batch cheap closures so one sample spans ~1 ms.
+        let iters: Vec<u64> = rows
+            .iter_mut()
+            .map(|(_, f)| {
                 let start = Instant::now();
+                f();
+                let once_ns = (start.elapsed().as_nanos() as u64).max(1);
+                let iters = (TARGET_SAMPLE_NS / once_ns).clamp(1, MAX_ITERS);
+                // One warmup sample beyond calibration.
                 for _ in 0..iters {
-                    black_box(f());
+                    f();
                 }
-                (start.elapsed().as_nanos() as u64 / iters).max(1)
+                iters
             })
             .collect();
-        per_call.sort_unstable();
-
+        let mut per_call: Vec<Vec<u64>> = vec![Vec::new(); rows.len()];
+        for _ in 0..self.samples {
+            for ((_, f), (&iters, out)) in rows.iter_mut().zip(iters.iter().zip(&mut per_call)) {
+                let start = Instant::now();
+                for _ in 0..iters {
+                    f();
+                }
+                out.push((start.elapsed().as_nanos() as u64 / iters).max(1));
+            }
+        }
         let samples = self.samples;
-        let m = Measurement {
-            name: name.to_string(),
-            min_ns: per_call[0],
-            median_ns: per_call[per_call.len() / 2],
-            mean_ns: per_call.iter().sum::<u64>() / samples as u64,
-            max_ns: per_call[per_call.len() - 1],
-            samples,
-            iters,
-        };
-        println!(
-            "  {:<40} median {:>12} ns/call  (min {}, max {}, x{} batched)",
-            m.name, m.median_ns, m.min_ns, m.max_ns, m.iters
-        );
-        self.results.push(m);
-        self.results.last().expect("just pushed")
+        for ((name, _), (iters, mut per_call)) in rows.iter().zip(iters.into_iter().zip(per_call)) {
+            per_call.sort_unstable();
+            let m = Measurement {
+                name: name.to_string(),
+                min_ns: per_call[0],
+                median_ns: per_call[per_call.len() / 2],
+                mean_ns: per_call.iter().sum::<u64>() / samples as u64,
+                max_ns: per_call[per_call.len() - 1],
+                samples,
+                iters,
+            };
+            println!(
+                "  {:<40} median {:>12} ns/call  (min {}, max {}, x{} batched)",
+                m.name, m.median_ns, m.min_ns, m.max_ns, m.iters
+            );
+            self.results.push(m);
+        }
     }
 
     /// The measurements recorded so far.

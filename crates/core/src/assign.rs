@@ -64,9 +64,12 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// A priority queue of waiting jobs under a fixed [`PriorityPolicy`].
+/// A priority queue of waiting jobs under a fixed [`PriorityPolicy`]: the
+/// greedy assigner's queue.
 ///
-/// This is exported because the online engine shares it.
+/// The online engine does not use it. Its schedulers read `Σw` and the
+/// queue flow `f` at every event, so it keeps its own queue with those
+/// aggregates maintained (`calib_online::queue::WaitQueue`).
 #[derive(Debug, Clone)]
 pub struct WaitingQueue {
     policy: PriorityPolicy,

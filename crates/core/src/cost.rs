@@ -38,30 +38,38 @@ pub fn flow_if_run_consecutively(jobs: &[Job], first_start: Time) -> Cost {
 ///
 /// `f(t) = (t + 2) Σw + Σ w_k (k − r_k) ≥ threshold`.
 pub fn earliest_flow_crossing(jobs: &[Job], threshold: Cost) -> Option<Time> {
-    if jobs.is_empty() {
-        return None;
-    }
-    let slope: i128 = jobs.iter().map(|j| j.weight as i128).sum();
-    debug_assert!(slope > 0, "jobs have positive weight");
+    let floor = jobs.iter().map(|j| j.release).max()?;
+    let slope: i128 = jobs.iter().map(|j| i128::from(j.weight)).sum();
     let offset: i128 = jobs
         .iter()
-        .enumerate()
-        .map(|(k, j)| (j.weight as i128) * (k as i128 - j.release as i128))
+        .zip(0i128..)
+        .map(|(j, k)| i128::from(j.weight) * (k - i128::from(j.release)))
         .sum();
-    // Solve (t + 2) * slope + offset >= threshold for integer t.
-    let need = threshold as i128 - offset - 2 * slope;
+    Some(flow_crossing(slope, offset, floor, threshold))
+}
+
+/// The closed-form solve behind [`earliest_flow_crossing`], for callers that
+/// maintain the queue's aggregates instead of scanning it: `slope = Σw`,
+/// `offset = Σ w_k (k − r_k)` over the queue in the order evaluated, and
+/// `floor` the queue's latest release. The queue must be non-empty
+/// (`slope > 0`).
+pub fn flow_crossing(slope: i128, offset: i128, floor: Time, threshold: Cost) -> Time {
+    debug_assert!(slope > 0, "jobs have positive weight");
+    // Solve (t + 2) * slope + offset >= threshold for integer t. Thresholds
+    // beyond i128 saturate: no queue flow reaches them before `Time::MAX`.
+    let threshold = i128::try_from(threshold).unwrap_or(i128::MAX);
+    let need = threshold.saturating_sub(offset).saturating_sub(2 * slope);
     let t = if need <= 0 {
         i128::MIN
     } else {
-        (need + slope - 1) / slope
+        need.saturating_add(slope - 1) / slope
     };
     // Never answer earlier than the queue's latest release: a queued job
     // cannot start before it is released, and at any t >= max release the
     // flow expression is the true (nonnegative) queue flow. Callers
     // additionally max() the result with the current time.
-    let floor = jobs.iter().map(|j| j.release).max().expect("non-empty");
-    let t = t.clamp(floor as i128, i64::MAX as i128) as Time;
-    Some(t)
+    let t = t.clamp(i128::from(floor), i128::from(Time::MAX));
+    Time::try_from(t).unwrap_or(Time::MAX)
 }
 
 #[cfg(test)]

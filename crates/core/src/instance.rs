@@ -12,11 +12,35 @@ use crate::types::{Cost, JobId, Time, Weight};
 /// The calibration *cost* `G` (online setting) and the calibration *budget*
 /// `K` (offline setting) are not part of the instance; they parameterize the
 /// objective and are passed to solvers separately.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Instance {
     jobs: Vec<Job>,
     machines: usize,
     cal_len: Time,
+    /// `(id, position in jobs)` sorted by id: the index behind
+    /// [`Instance::job`]. Derived from `jobs`, so it never changes equality.
+    by_id: Vec<(JobId, usize)>,
+}
+
+impl std::fmt::Debug for Instance {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Instance")
+            .field("jobs", &self.jobs)
+            .field("machines", &self.machines)
+            .field("cal_len", &self.cal_len)
+            .finish()
+    }
+}
+
+/// The id index of a `(release, id)`-sorted job list, or the first
+/// duplicated id.
+fn index_by_id(jobs: &[Job]) -> Result<Vec<(JobId, usize)>, JobId> {
+    let mut by_id: Vec<(JobId, usize)> = jobs.iter().enumerate().map(|(i, j)| (j.id, i)).collect();
+    by_id.sort_unstable();
+    match by_id.windows(2).find(|w| w[0].0 == w[1].0) {
+        Some(w) => Err(w[0].0),
+        None => Ok(by_id),
+    }
 }
 
 /// Errors produced when constructing an [`Instance`].
@@ -70,17 +94,12 @@ impl Instance {
             return Err(InstanceError::TooManyMachines(machines));
         }
         sort_jobs(&mut jobs);
-        let mut ids: Vec<JobId> = jobs.iter().map(|j| j.id).collect();
-        ids.sort();
-        for w in ids.windows(2) {
-            if w[0] == w[1] {
-                return Err(InstanceError::DuplicateJobId(w[0]));
-            }
-        }
+        let by_id = index_by_id(&jobs).map_err(InstanceError::DuplicateJobId)?;
         Ok(Instance {
             jobs,
             machines,
             cal_len,
+            by_id,
         })
     }
 
@@ -113,9 +132,11 @@ impl Instance {
         self.cal_len
     }
 
-    /// Looks up a job by id. `O(n)`; fine for checking and tests.
+    /// Looks up a job by id: a binary search of the id index,
+    /// `O(log n)`.
     pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.jobs.iter().find(|j| j.id == id)
+        let i = self.by_id.binary_search_by_key(&id, |&(j, _)| j).ok()?;
+        self.jobs.get(self.by_id[i].1)
     }
 
     /// Earliest release time (`None` when there are no jobs).
@@ -151,10 +172,15 @@ impl Instance {
     /// Footnote-1 normalization: returns an equivalent instance with at most
     /// `P` jobs per release time (for `P = 1`, all releases distinct).
     pub fn normalized(&self) -> Instance {
+        let jobs = normalize_releases(self.jobs.clone(), self.machines);
+        // Normalization moves releases, never ids: the id set is unchanged
+        // and still duplicate-free.
+        let by_id = index_by_id(&jobs).unwrap_or_default();
         Instance {
-            jobs: normalize_releases(self.jobs.clone(), self.machines),
+            jobs,
             machines: self.machines,
             cal_len: self.cal_len,
+            by_id,
         }
     }
 
@@ -322,7 +348,7 @@ mod tests {
         assert_eq!(inst.max_release(), Some(5));
         assert_eq!(inst.total_weight(), 9);
         assert!(!inst.is_unweighted());
-        assert!(inst.job(JobId(1)).is_some());
+        assert_eq!(inst.job(JobId(1)).map(|j| j.release), Some(5));
         assert!(inst.job(JobId(9)).is_none());
     }
 
@@ -351,6 +377,26 @@ mod tests {
             inst.with_permuted_ids(&[JobId(0), JobId(0), JobId(1)]),
             Err(InstanceError::DuplicateJobId(_))
         ));
+    }
+
+    #[test]
+    fn job_lookup_agrees_with_a_scan() {
+        // Ids out of release order, with gaps, including after
+        // normalization reorders jobs.
+        let jobs = vec![
+            Job::new(40, 3, 1),
+            Job::new(7, 0, 2),
+            Job::new(19, 0, 5),
+            Job::new(2, 9, 1),
+            Job::new(u32::MAX, 0, 1),
+        ];
+        let inst = Instance::new(jobs, 1, 3).unwrap();
+        for probe in [inst.clone(), inst.normalized()] {
+            for id in [0, 2, 3, 7, 19, 40, 41, u32::MAX] {
+                let scan = probe.jobs().iter().find(|j| j.id == JobId(id));
+                assert_eq!(probe.job(JobId(id)), scan, "id {id}");
+            }
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use assign::{
 };
 pub use calibration::{coverage_by_machine, round_robin_calibrations, Calibration, Coverage};
 pub use checker::{check_schedule, CheckError, Violation};
-pub use cost::{earliest_flow_crossing, flow_if_run_consecutively};
+pub use cost::{earliest_flow_crossing, flow_crossing, flow_if_run_consecutively};
 pub use instance::{Instance, InstanceBuilder, InstanceError};
 pub use job::{normalize_releases, sort_jobs, Job};
 pub use json::{FromJson, Json, JsonError, ToJson};

@@ -11,7 +11,7 @@
 //! Whenever the step is calibrated and `Q` is non-empty, the earliest
 //! released job runs (the engine's earliest-release auto policy).
 
-use calib_core::{earliest_flow_crossing, ge_ratio, lt_ratio, PriorityPolicy, Time};
+use calib_core::{ge_ratio, lt_ratio, PriorityPolicy, Time};
 
 use crate::engine::EngineView;
 use crate::scheduler::{Decision, OnlineScheduler};
@@ -106,12 +106,9 @@ impl OnlineScheduler for Alg1 {
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
         // The only time-driven trigger is f >= G; |Q| and arrivals only
         // change at release events, which wake the engine anyway.
-        earliest_flow_crossing(view.waiting, view.cal_cost)
+        view.queue_flow_crossing(view.cal_cost)
     }
 }
 

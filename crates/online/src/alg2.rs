@@ -16,7 +16,7 @@
 //! proof of Lemma 3.5 all schedule the *heaviest* job first; heaviest-first
 //! is our default and lightest-first is kept as an ablation (DESIGN.md §5).
 
-use calib_core::{earliest_flow_crossing, ge_ratio, PriorityPolicy, Time};
+use calib_core::{ge_ratio, PriorityPolicy, Time};
 
 use crate::engine::EngineView;
 use crate::scheduler::{Decision, OnlineScheduler};
@@ -61,14 +61,6 @@ impl Alg2 {
             extraction: ExtractionPolicy::LightestFirst,
         }
     }
-
-    /// Queue flow in the order the policy would schedule.
-    fn queue_flow(&self, view: &EngineView) -> calib_core::Cost {
-        let mut q = view.waiting.to_vec();
-        let policy = self.auto_policy();
-        q.sort_by_key(|j| policy.sort_key(j));
-        calib_core::flow_if_run_consecutively(&q, view.t + 1)
-    }
 }
 
 impl Default for Alg2 {
@@ -111,23 +103,17 @@ impl OnlineScheduler for Alg2 {
             return Decision::calibrate(reason::FULL_QUEUE);
         }
         // f >= G
-        if self.queue_flow(view) >= g {
+        if view.policy_flow_from_next_step() >= g {
             return Decision::calibrate(reason::FLOW);
         }
         Decision::none()
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
         // f grows linearly with slope Σw regardless of order; the crossing
         // time only depends on the queue composition, which is fixed between
         // events. Use the policy order for exactness.
-        let mut q = view.waiting.to_vec();
-        let policy = self.auto_policy();
-        q.sort_by_key(|j| policy.sort_key(j));
-        earliest_flow_crossing(&q, view.cal_cost)
+        view.policy_flow_crossing(view.cal_cost)
     }
 }
 

@@ -13,10 +13,7 @@
 //! calibration times and re-assign jobs with Observation 2.1; that variant
 //! is [`run_alg3_practical`] (the E10 ablation).
 
-use calib_core::{
-    assign_greedy_with_policy, earliest_flow_crossing, ge_ratio, Cost, Instance, PriorityPolicy,
-    Time,
-};
+use calib_core::{assign_greedy_with_policy, ge_ratio, Cost, Instance, PriorityPolicy, Time};
 
 use crate::engine::{run_online, EngineView, RunResult};
 use crate::scheduler::{Decision, OnlineScheduler, Reservation};
@@ -74,8 +71,7 @@ impl OnlineScheduler for Alg3 {
             g,
             t_len,
         );
-        let flow_rule = view.queue_flow_from_next_step() >= g;
-        if !queue_rule && !flow_rule {
+        if !queue_rule && view.queue_flow_from_next_step() < g {
             return Decision::none();
         }
 
@@ -88,10 +84,10 @@ impl OnlineScheduler for Alg3 {
             view.t + view.cal_len,
             quota.min(view.waiting.len()),
         );
-        // Waiting is already in release order; pair jobs with planned slots.
+        // The policy order is release order; pair jobs with planned slots.
         let reserve: Vec<Reservation> = view
-            .waiting
-            .iter()
+            .first_waiting(slots.len())
+            .into_iter()
             .zip(slots)
             .map(|(job, slot)| Reservation {
                 job: job.id,
@@ -117,10 +113,7 @@ impl OnlineScheduler for Alg3 {
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
-        earliest_flow_crossing(view.waiting, view.cal_cost)
+        view.queue_flow_crossing(view.cal_cost)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Naive online baselines — comparison points for the benches, showing why
 //! the paper's threshold rules matter.
 
-use calib_core::{earliest_flow_crossing, PriorityPolicy, Time};
+use calib_core::{PriorityPolicy, Time};
 
 use crate::engine::EngineView;
 use crate::scheduler::{Decision, OnlineScheduler};
@@ -71,10 +71,7 @@ impl OnlineScheduler for SkiRentalBatch {
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
-        earliest_flow_crossing(view.waiting, view.cal_cost)
+        view.queue_flow_crossing(view.cal_cost)
     }
 }
 

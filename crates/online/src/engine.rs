@@ -24,13 +24,16 @@
 //! byte-identical schedules — a property the `calib-serve` determinism
 //! tests pin down end to end.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use calib_core::obs::{Event, NoopProbe, Probe};
 use calib_core::{
-    check_schedule, Assignment, Calibration, Cost, Instance, Job, JobId, MachineId, Schedule, Time,
+    check_schedule, Assignment, Calibration, Cost, Instance, Job, JobId, MachineId, PriorityPolicy,
+    Schedule, Time,
 };
 
+use crate::queue::WaitQueue;
 use crate::scheduler::{Decision, OnlineScheduler, Reservation};
 
 /// Per-machine live state.
@@ -45,7 +48,7 @@ pub struct MachineState {
     /// interval (into the engine's interval list) they were reserved into —
     /// `None` when the reservation was issued without a calibration in the
     /// same decision.
-    reservations: BTreeMap<Time, (JobId, Option<usize>)>,
+    reservations: BTreeMap<Time, (Job, Option<usize>)>,
 }
 
 impl MachineState {
@@ -57,21 +60,37 @@ impl MachineState {
         }
     }
 
+    /// The segment starting at or before `t` (the one that covers `t`, if
+    /// any). Calibrations start at the current time, so the engine's
+    /// queries land in the last segment; it is checked before searching.
+    fn segment_at(&self, t: Time) -> Option<(Time, Time)> {
+        match self.coverage.last() {
+            Some(&last) if last.0 <= t => Some(last),
+            _ => {
+                let i = self
+                    .coverage
+                    .partition_point(|&(b, _)| b <= t)
+                    .checked_sub(1)?;
+                self.coverage.get(i).copied()
+            }
+        }
+    }
+
     /// Is slot `t` calibrated on this machine?
     pub fn covers(&self, t: Time) -> bool {
-        match self
-            .coverage
-            .partition_point(|&(b, _)| b <= t)
-            .checked_sub(1)
-        {
-            Some(i) => t < self.coverage[i].1,
-            None => false,
-        }
+        self.segment_at(t).is_some_and(|(_, e)| t < e)
     }
 
     /// First calibrated slot `>= from` that has not been consumed.
     pub fn next_usable(&self, from: Time) -> Option<Time> {
         let from = from.max(self.used_until);
+        let &(b, e) = self.coverage.last()?;
+        if from >= e {
+            return None;
+        }
+        if b <= from {
+            return Some(from);
+        }
         let i = self.coverage.partition_point(|&(_, e)| e <= from);
         let &(b, _) = self.coverage.get(i)?;
         Some(b.max(from))
@@ -83,7 +102,7 @@ impl MachineState {
     }
 
     /// Reserved (future or current) slots: `slot -> (job, interval index)`.
-    pub fn reservations(&self) -> &BTreeMap<Time, (JobId, Option<usize>)> {
+    pub fn reservations(&self) -> &BTreeMap<Time, (Job, Option<usize>)> {
         &self.reservations
     }
 
@@ -97,14 +116,7 @@ impl MachineState {
     /// step calibrated" change behaviour exactly there, so the engine treats
     /// coverage expiry as a wake-up event.
     pub fn coverage_end_after(&self, t: Time) -> Option<Time> {
-        match self
-            .coverage
-            .partition_point(|&(b, _)| b <= t)
-            .checked_sub(1)
-        {
-            Some(i) if t < self.coverage[i].1 => Some(self.coverage[i].1),
-            _ => None,
-        }
+        self.segment_at(t).map(|(_, e)| e).filter(|&e| t < e)
     }
 
     /// Slots in `[from, upto)` that would be free if a calibration covering
@@ -187,9 +199,11 @@ pub struct EngineView<'a> {
     pub cal_cost: Cost,
     /// Number of machines `P`.
     pub machines: &'a [MachineState],
-    /// Waiting (released, unscheduled, unreserved) jobs in `(release, id)`
-    /// order.
-    pub waiting: &'a [Job],
+    /// Waiting (released, unscheduled, unreserved) jobs, served in the
+    /// driving scheduler's [`OnlineScheduler::auto_policy`] order. Read its
+    /// size, weight and flow through the queue's maintained aggregates (and
+    /// the helpers below) rather than scanning it.
+    pub waiting: &'a WaitQueue,
     /// All intervals calibrated so far, in calibration order.
     pub intervals: &'a [IntervalRecord],
     /// The machine the next calibration would go to (round-robin pointer).
@@ -212,13 +226,36 @@ impl EngineView<'_> {
 
     /// Total weight of the waiting queue.
     pub fn queue_weight(&self) -> Cost {
-        self.waiting.iter().map(|j| Cost::from(j.weight)).sum()
+        self.waiting.weight()
     }
 
     /// The paper's `f`: flow cost of scheduling all waiting jobs
     /// back-to-back starting at `t + 1`, in release order.
     pub fn queue_flow_from_next_step(&self) -> Cost {
-        calib_core::flow_if_run_consecutively(self.waiting, self.t + 1)
+        self.waiting.release_flow(self.t + 1)
+    }
+
+    /// `f` with the queue in the scheduler's service (policy) order.
+    pub fn policy_flow_from_next_step(&self) -> Cost {
+        self.waiting.policy_flow(self.t + 1)
+    }
+
+    /// Earliest step at which the release-order `f` reaches `threshold`
+    /// with the queue as it stands (`None` when empty) — the closed-form
+    /// wake-up hint for flow rules.
+    pub fn queue_flow_crossing(&self, threshold: Cost) -> Option<Time> {
+        self.waiting.release_crossing(threshold)
+    }
+
+    /// As [`EngineView::queue_flow_crossing`], for the policy-order `f`.
+    pub fn policy_flow_crossing(&self, threshold: Cost) -> Option<Time> {
+        self.waiting.policy_crossing(threshold)
+    }
+
+    /// The first `k` waiting jobs in policy order, e.g. the jobs to reserve
+    /// into a fresh interval.
+    pub fn first_waiting(&self, k: usize) -> Vec<Job> {
+        self.waiting.first_k(k)
     }
 
     /// The most recent interval (by calibration order), if any.
@@ -533,6 +570,7 @@ fn intern_reason(label: &str) -> &'static str {
     const KNOWN: &[&str] = &[
         "calibrate",
         "naive:now",
+        "ski:flow>=G",
         crate::alg1::reason::QUEUE,
         crate::alg1::reason::FLOW,
         crate::alg1::reason::IMMEDIATE,
@@ -652,10 +690,12 @@ pub struct EngineSession<P: Probe = NoopProbe> {
     /// Submitted jobs not yet released into the waiting queue, sorted by
     /// `(release, id)` — the same canonical order an [`Instance`] keeps.
     pending: VecDeque<Job>,
-    /// Every job ever submitted, for duplicate detection and reserved-job
-    /// materialization.
+    /// Every job ever submitted, for duplicate detection, reservations and
+    /// flow accounting.
     known: HashMap<JobId, Job>,
-    waiting: Vec<Job>,
+    /// Released, unscheduled, unreserved jobs. Its service policy follows
+    /// the driving scheduler's `auto_policy`, adopted at every step.
+    waiting: WaitQueue,
     machines: Vec<MachineState>,
     intervals: Vec<IntervalRecord>,
     /// Map from global interval index per machine for slot->interval lookup.
@@ -711,7 +751,7 @@ impl<P: Probe> EngineSession<P> {
             cal_cost,
             pending: VecDeque::new(),
             known: HashMap::new(),
-            waiting: Vec::new(),
+            waiting: WaitQueue::new(PriorityPolicy::HighestWeightFirst),
             machines: vec![MachineState::new(); machines],
             intervals: Vec::new(),
             machine_intervals: vec![Vec::new(); machines],
@@ -786,7 +826,7 @@ impl<P: Probe> EngineSession<P> {
             config: self.config,
             known: self.submitted_jobs(),
             pending: self.pending.iter().map(|j| j.id).collect(),
-            waiting: self.waiting.iter().map(|j| j.id).collect(),
+            waiting: self.waiting.release_order().iter().map(|j| j.id).collect(),
             machines: self
                 .machines
                 .iter()
@@ -796,7 +836,7 @@ impl<P: Probe> EngineSession<P> {
                     reservations: m
                         .reservations
                         .iter()
-                        .map(|(&slot, &(job, interval))| (slot, job, interval))
+                        .map(|(&slot, &(job, interval))| (slot, job.id, interval))
                         .collect(),
                 })
                 .collect(),
@@ -852,9 +892,18 @@ impl<P: Probe> EngineSession<P> {
             pending.push(resolve(id, "pending job not in submission record")?);
         }
         pending.sort_by_key(|j| (j.release, j.id));
-        let mut waiting: Vec<Job> = Vec::with_capacity(snapshot.waiting.len());
+        let mut waiting_jobs: Vec<Job> = Vec::with_capacity(snapshot.waiting.len());
         for &id in &snapshot.waiting {
-            waiting.push(resolve(id, "waiting job not in submission record")?);
+            waiting_jobs.push(resolve(id, "waiting job not in submission record")?);
+        }
+        // The queue takes jobs in `(release, id)` order.
+        waiting_jobs.sort_by_key(|j| (j.release, j.id));
+        if waiting_jobs.windows(2).any(|w| w[0].id == w[1].id) {
+            return Err(corrupt("waiting job listed twice"));
+        }
+        let mut waiting = WaitQueue::new(PriorityPolicy::HighestWeightFirst);
+        for job in waiting_jobs {
+            waiting.push(job);
         }
         let mut machines: Vec<MachineState> = Vec::with_capacity(snapshot.machines.len());
         let mut pending_reservations = 0usize;
@@ -866,11 +915,11 @@ impl<P: Probe> EngineSession<P> {
             }
             let mut reservations = BTreeMap::new();
             for &(slot, id, interval) in &ms.reservations {
-                resolve(id, "reserved job not in submission record")?;
+                let job = resolve(id, "reserved job not in submission record")?;
                 if interval.is_some_and(|i| i >= snapshot.intervals.len()) {
                     return Err(corrupt("reservation references a missing interval"));
                 }
-                if reservations.insert(slot, (id, interval)).is_some() {
+                if reservations.insert(slot, (job, interval)).is_some() {
                     return Err(corrupt("two reservations share one slot"));
                 }
             }
@@ -939,10 +988,12 @@ impl<P: Probe> EngineSession<P> {
     /// the offending job; the session itself stays consistent and can keep
     /// serving.
     pub fn submit(&mut self, jobs: &[Job]) -> Result<(), EngineError> {
+        self.known.reserve(jobs.len());
+        self.pending.reserve(jobs.len());
         for &job in jobs {
-            if self.known.contains_key(&job.id) {
+            let Entry::Vacant(slot) = self.known.entry(job.id) else {
                 return Err(EngineError::DuplicateJob { job: job.id });
-            }
+            };
             if self.started && job.release <= self.clock {
                 return Err(EngineError::ArrivalInPast {
                     job: job.id,
@@ -950,7 +1001,7 @@ impl<P: Probe> EngineSession<P> {
                     horizon: self.clock,
                 });
             }
-            self.known.insert(job.id, job);
+            slot.insert(job);
             self.insert_pending(job);
             // A new early release may precede the previously predicted next
             // event; the engine must wake at the arrival instead.
@@ -1076,6 +1127,7 @@ impl<P: Probe> EngineSession<P> {
             .ok_or(EngineError::FuelExhausted { t })?;
         self.clock = t;
         self.started = true;
+        self.waiting.set_policy(scheduler.auto_policy());
 
         // 1. Arrivals.
         let mut arrived_now = false;
@@ -1099,13 +1151,13 @@ impl<P: Probe> EngineSession<P> {
         self.decide_loop(t, arrived_now, scheduler, /*early=*/ true)?;
 
         // 3. Serve the current slot: reservations first, then auto.
-        self.materialize(t, Some(scheduler.auto_policy()))?;
+        self.materialize(t, true);
 
         // 4. Late decisions (Algorithm 3); reservations for slot `t`
         //    itself are placed immediately, but no extra auto-assignment
         //    happens this step (the paper's lines 6–9 already ran).
         self.decide_loop(t, arrived_now, scheduler, /*early=*/ false)?;
-        self.materialize(t, None)?;
+        self.materialize(t, false);
 
         // Done?
         if self.is_idle() {
@@ -1234,14 +1286,20 @@ impl<P: Probe> EngineSession<P> {
             if !self.machines[r.machine.index()].slot_free(r.slot) {
                 return Err(EngineError::ReservedSlotNotFree { reservation: r, t });
             }
-            let Some(pos) = self.waiting.iter().position(|j| j.id == r.job) else {
+            // The shipped schedulers reserve in policy order, so the job
+            // heads its weight class; the fallback (a lookup and a binary
+            // search) costs cache misses that showed in overload scaling.
+            let waiting = self.waiting.remove_front(r.job).or_else(|| {
+                let job = *self.known.get(&r.job)?;
+                self.waiting.remove(&job)
+            });
+            let Some(job) = waiting else {
                 return Err(EngineError::ReservedJobNotWaiting { job: r.job });
             };
-            let job = self.waiting.remove(pos);
             debug_assert!(job.release <= r.slot);
             self.machines[r.machine.index()]
                 .reservations
-                .insert(r.slot, (job.id, decision_interval));
+                .insert(r.slot, (job, decision_interval));
             self.pending_reservations += 1;
             if P::ENABLED {
                 self.probe.record(&Event::Reserve {
@@ -1255,27 +1313,19 @@ impl<P: Probe> EngineSession<P> {
     }
 
     /// Serves slot `t` on every machine: a reservation if present, else (when
-    /// `auto` is set) the best waiting job under the policy.
-    fn materialize(
-        &mut self,
-        t: Time,
-        auto: Option<calib_core::PriorityPolicy>,
-    ) -> Result<(), EngineError> {
+    /// `auto` is set) the first waiting job in policy order.
+    fn materialize(&mut self, t: Time, auto: bool) {
         for m in 0..self.machines.len() {
             if !self.machines[m].covers(t) || t < self.machines[m].used_until {
                 continue;
             }
             let (job, reserved_into) =
-                if let Some((id, iv)) = self.machines[m].reservations.remove(&t) {
+                if let Some((job, iv)) = self.machines[m].reservations.remove(&t) {
+                    // Reserved jobs left `waiting` at reservation time.
                     self.pending_reservations -= 1;
-                    // Reserved jobs were removed from `waiting` at reservation
-                    // time; find the Job in the submission record.
-                    let Some(&job) = self.known.get(&id) else {
-                        return Err(EngineError::ReservedJobNotWaiting { job: id });
-                    };
                     (Some(job), iv)
-                } else if let Some(policy) = auto {
-                    (self.pop_waiting(policy), None)
+                } else if auto {
+                    (self.waiting.pop(), None)
                 } else {
                     (None, None)
                 };
@@ -1310,19 +1360,6 @@ impl<P: Probe> EngineSession<P> {
                 }
             }
         }
-        Ok(())
-    }
-
-    fn pop_waiting(&mut self, policy: calib_core::PriorityPolicy) -> Option<Job> {
-        // Small queues in practice; a linear argmin keeps `waiting` a plain
-        // release-ordered Vec for the scheduler view.
-        let best = self
-            .waiting
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, j)| policy.sort_key(j))
-            .map(|(i, _)| i)?;
-        Some(self.waiting.remove(best))
     }
 }
 
@@ -1390,7 +1427,7 @@ mod tests {
                 calibrate: 1,
                 // Slot in the past relative to t: invalid.
                 reserve: vec![Reservation {
-                    job: view.waiting[0].id,
+                    job: view.first_waiting(1)[0].id,
                     machine: calib_core::MachineId(0),
                     slot: view.t - 1,
                 }],

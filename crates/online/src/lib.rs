@@ -35,6 +35,7 @@ pub mod alg2;
 pub mod alg3;
 pub mod baselines;
 pub mod engine;
+pub mod queue;
 pub mod randomized;
 pub mod scheduler;
 pub mod tunable;
@@ -50,6 +51,7 @@ pub use engine::{
     EngineSession, EngineSnapshot, EngineView, IntervalRecord, IntervalSnapshot, MachineSnapshot,
     MachineState, RunResult, SessionOutcome,
 };
+pub use queue::WaitQueue;
 pub use randomized::RandomizedSkiRental;
 pub use scheduler::{Decision, OnlineScheduler, Reservation};
 pub use tunable::{Ratio, Thresholds, TunableScheduler};

@@ -18,7 +18,7 @@
 //! Randomness is deterministic in the seed: runs are reproducible and the
 //! engine's skip/no-skip equivalence still holds for a fixed seed.
 
-use calib_core::{earliest_flow_crossing, ge_ratio, lt_ratio, Cost, PriorityPolicy, Time};
+use calib_core::{ge_ratio, lt_ratio, Cost, PriorityPolicy, Time};
 
 use crate::engine::EngineView;
 use crate::scheduler::{Decision, OnlineScheduler};
@@ -144,14 +144,11 @@ impl OnlineScheduler for RandomizedSkiRental {
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
         // Conservative: wake at the crossing of the *smallest possible*
         // threshold already sampled (or 1 if none yet). The engine maxes
         // with t+1, so at worst we take a few extra single steps.
         let threshold = self.current_threshold.unwrap_or(1);
-        earliest_flow_crossing(view.waiting, threshold)
+        view.queue_flow_crossing(threshold)
     }
 }
 

@@ -10,7 +10,7 @@
 //! All threshold tests stay in exact integer arithmetic: a multiplier
 //! `num/den` turns `x ≥ G/T` into `x · T · den ≥ num · G`.
 
-use calib_core::{earliest_flow_crossing, Cost, PriorityPolicy, Time};
+use calib_core::{Cost, PriorityPolicy, Time};
 
 use crate::engine::EngineView;
 use crate::scheduler::{Decision, OnlineScheduler};
@@ -115,12 +115,6 @@ impl TunableScheduler {
             label,
         }
     }
-
-    fn queue_flow(&self, view: &EngineView) -> Cost {
-        let mut q = view.waiting.to_vec();
-        q.sort_by_key(|j| self.policy.sort_key(j));
-        calib_core::flow_if_run_consecutively(&q, view.t + 1)
-    }
 }
 
 /// Trigger labels.
@@ -164,7 +158,10 @@ impl OnlineScheduler for TunableScheduler {
         if th.full_queue_rule && view.waiting.len() as Time >= view.cal_len {
             return Decision::calibrate(reason::FULL_QUEUE);
         }
-        if th.flow_factor.le_scaled(self.queue_flow(view), g) {
+        if th
+            .flow_factor
+            .le_scaled(view.policy_flow_from_next_step(), g)
+        {
             return Decision::calibrate(reason::FLOW);
         }
         if let Some(div) = th.immediate_divisor {
@@ -180,18 +177,13 @@ impl OnlineScheduler for TunableScheduler {
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
         // Solve f ≥ (num/den)·G exactly: f·den ≥ num·G. The queue flow in
         // policy order has the same slope as release order, so crossing
         // computation over the scaled threshold is exact when den divides…
         // keep it simple and exact: threshold' = ceil(num·G / den).
         let th = self.thresholds.flow_factor;
         let threshold = (th.num as Cost * view.cal_cost).div_ceil(th.den as Cost);
-        let mut q = view.waiting.to_vec();
-        q.sort_by_key(|j| self.policy.sort_key(j));
-        earliest_flow_crossing(&q, threshold)
+        view.policy_flow_crossing(threshold)
     }
 }
 

@@ -8,7 +8,7 @@
 //! as an empirical heuristic. No competitive guarantee is claimed; the E12
 //! experiment measures it against the (weighted) Figure 1 LP lower bound.
 
-use calib_core::{earliest_flow_crossing, ge_ratio, Cost, PriorityPolicy, Time};
+use calib_core::{ge_ratio, Cost, PriorityPolicy, Time};
 
 use crate::engine::EngineView;
 use crate::scheduler::{Decision, OnlineScheduler, Reservation};
@@ -37,12 +37,6 @@ impl WeightedMulti {
     fn reserve_quota(g: Cost, t: Time) -> usize {
         ((g / t as Cost) as usize).max(1)
     }
-
-    fn queue_flow(view: &EngineView) -> Cost {
-        let mut q = view.waiting.to_vec();
-        q.sort_by_key(|j| PriorityPolicy::HighestWeightFirst.sort_key(j));
-        calib_core::flow_if_run_consecutively(&q, view.t + 1)
-    }
 }
 
 impl OnlineScheduler for WeightedMulti {
@@ -63,7 +57,7 @@ impl OnlineScheduler for WeightedMulti {
 
         let weight_rule = ge_ratio(view.queue_weight(), g, t_len);
         let full_queue = view.waiting.len() as Time >= view.cal_len;
-        let flow_rule = Self::queue_flow(view) >= g;
+        let flow_rule = view.policy_flow_from_next_step() >= g;
         if !weight_rule && !full_queue && !flow_rule {
             return Decision::none();
         }
@@ -75,12 +69,11 @@ impl OnlineScheduler for WeightedMulti {
             view.t + view.cal_len,
             quota.min(view.waiting.len()),
         );
-        // Reserve the *heaviest* waiting jobs (Observation 2.1 order) into
-        // the earliest slots of the new interval.
-        let mut jobs = view.waiting.to_vec();
-        jobs.sort_by_key(|j| PriorityPolicy::HighestWeightFirst.sort_key(j));
-        let reserve: Vec<Reservation> = jobs
-            .iter()
+        // Reserve the *heaviest* waiting jobs (Observation 2.1 order, the
+        // queue's policy order) into the earliest slots of the new interval.
+        let reserve: Vec<Reservation> = view
+            .first_waiting(slots.len())
+            .into_iter()
             .zip(slots)
             .map(|(job, slot)| Reservation {
                 job: job.id,
@@ -105,12 +98,7 @@ impl OnlineScheduler for WeightedMulti {
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
-        let mut q = view.waiting.to_vec();
-        q.sort_by_key(|j| PriorityPolicy::HighestWeightFirst.sort_key(j));
-        earliest_flow_crossing(&q, view.cal_cost)
+        view.policy_flow_crossing(view.cal_cost)
     }
 }
 

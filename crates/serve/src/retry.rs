@@ -452,6 +452,28 @@ fn drive(
             // read-timeout warning): the request stream is corrupt.
             return Drive::Reconnect(format!("unsequenced reply: {}", line.trim()), None);
         };
+        let code = if ty == "error" {
+            v.get("code").and_then(Json::as_str).unwrap_or("?")
+        } else {
+            ""
+        };
+        if code == "shed" || code == "rate-limited" {
+            // Overload rejections: the in-flight budget shed a request
+            // (`shed`, connection may be dropped) or the weighted token
+            // bucket ran dry (`rate-limited`). The daemon decides both when
+            // the request arrives, so the rejection can overtake replies to
+            // earlier requests still in its queue: it is classified before
+            // the seq match, whatever its seq. Both carry an authoritative
+            // `retry_after_ms`; honor it exactly, then resynchronize — the
+            // rejection did not advance the seq chain, so pipelined
+            // successors would land in a `seq-gap` anyway.
+            report.sheds += 1;
+            let after = v
+                .get("retry_after_ms")
+                .and_then(Json::as_u64)
+                .map(Duration::from_millis);
+            return Drive::Reconnect(format!("server overloaded: `{code}`"), after);
+        }
         if reply_seq < front_seq {
             // Stale duplicate of an already-acked reply.
             continue;
@@ -469,7 +491,6 @@ fn drive(
             .push(sent_at.elapsed().as_secs_f64() * 1_000_000.0);
         report.replies += 1;
         if ty == "error" {
-            let code = v.get("code").and_then(Json::as_str).unwrap_or("?");
             match code {
                 // Recoverable by resynchronizing: an earlier line was
                 // lost (`seq-gap`), dropped under backpressure (`busy`),
@@ -481,21 +502,6 @@ fn drive(
                 "seq-gap" | "busy" | "tenant-moved" | "shard-unreachable" => {
                     report.redirects += u64::from(code == "tenant-moved");
                     return Drive::Reconnect(format!("server asked to resync: `{code}`"), None);
-                }
-                // Overload rejections: the in-flight budget shed this
-                // request (`shed`, connection may be dropped) or the
-                // weighted token bucket ran dry (`rate-limited`). Both
-                // carry an authoritative `retry_after_ms`; honor it
-                // exactly, then resynchronize — the rejection did not
-                // advance the seq chain, so pipelined successors would
-                // land in a `seq-gap` anyway.
-                "shed" | "rate-limited" => {
-                    report.sheds += 1;
-                    let after = v
-                        .get("retry_after_ms")
-                        .and_then(Json::as_u64)
-                        .map(Duration::from_millis);
-                    return Drive::Reconnect(format!("server overloaded: `{code}`"), after);
                 }
                 _ => report
                     .errors
@@ -693,6 +699,71 @@ mod tests {
             0,
             "the exponential ramp never advanced: every delay was server-supplied"
         );
+        server.join().expect("server thread");
+    }
+
+    /// The daemon sheds on arrival, so a `shed` for a later pipelined
+    /// request can overtake the reply to an earlier one. It is still an
+    /// overload rejection — counted, its retry-after honored — not a lost
+    /// reply.
+    #[test]
+    fn a_shed_that_overtakes_an_earlier_reply_is_honored() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let server = std::thread::spawn(move || {
+            let answer = |writer: &mut std::net::TcpStream, line: &str| {
+                writer
+                    .write_all(line.as_bytes())
+                    .and_then(|()| writer.write_all(b"\n"))
+                    .and_then(|()| writer.flush())
+                    .expect("reply");
+            };
+            // Each connection: read `reads` lines, answering after each
+            // with the scripted reply (if any), then wait for the client to
+            // hang up.
+            let scripts: [&[Option<&str>]; 2] = [
+                // Seqs 0 and 1 arrive; seq 1 is shed before seq 0's reply.
+                &[
+                    None,
+                    Some(r#"{"type":"error","code":"shed","retry_after_ms":41,"seq":1}"#),
+                ],
+                // Resume: seq 0 was applied; the resent seq 1 is acked.
+                &[
+                    Some(r#"{"type":"resumed","tenant":"t","last_seq":0}"#),
+                    Some(r#"{"type":"ok","tenant":"t","seq":1}"#),
+                ],
+            ];
+            for script in scripts {
+                let (stream, _) = listener.accept().expect("accept");
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                let mut writer = stream;
+                let mut line = String::new();
+                for reply in script {
+                    line.clear();
+                    reader.read_line(&mut line).expect("request");
+                    if let Some(reply) = reply {
+                        answer(&mut writer, reply);
+                    }
+                }
+                while reader.read_line(&mut line).unwrap_or(0) > 0 {}
+            }
+        });
+        let cfg = ClientConfig {
+            tenant: "t".to_string(),
+            window: 2,
+            ..ClientConfig::default()
+        };
+        let mut clock = FakeClock(Vec::new());
+        let mut backoff = Backoff::new(5000, 60000, 9);
+        let report = run_plan(&addr, &cfg, &tick_plan(2), &mut backoff, &mut clock);
+        assert!(report.completed, "errors: {:?}", report.errors);
+        assert_eq!(report.sheds, 1, "the overtaking shed is counted");
+        assert_eq!(
+            clock.0,
+            vec![Duration::from_millis(41)],
+            "its hint is honored"
+        );
+        assert_eq!(backoff.attempt(), 0, "no lost-reply backoff");
         server.join().expect("server thread");
     }
 

@@ -1215,13 +1215,7 @@ fn worker_loop(shared: &Shared) {
                 }
             };
             let Some((request, sink)) = next else { break };
-            // An admitted work-bearing request holds its in-flight slot
-            // until the worker finishes it, whatever the outcome.
-            let gated = admission_gated(&request);
             process(shared, &tenant, request, &sink);
-            if gated {
-                shared.admission.complete(&tenant.name);
-            }
         }
     }
 }
@@ -1287,17 +1281,32 @@ fn duplicate_reply(request: &Request, session: &TenantSession, name: &str) -> Re
     }
 }
 
-/// Handles one queued request against the tenant's session, timing it into
-/// the daemon-wide request histogram.
+/// Handles one queued request against the tenant's session and writes its
+/// reply, timing both into the daemon-wide request histogram.
+///
+/// An admitted work-bearing request holds its in-flight slot until the
+/// request is done, whatever the outcome — and the slot is released
+/// *before* the reply is written. A client that keeps exactly its fair
+/// share in flight sends its next request only after reading a reply, so
+/// releasing after the write would let that request race the release and
+/// be shed.
 fn process(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: &Arc<ReplySink>) {
     let started = Instant::now();
     tenant.metrics.requests.fetch_add(1, Ordering::Relaxed);
-    process_inner(shared, tenant, request, sink);
+    let gated = admission_gated(&request);
+    let reply = process_inner(shared, tenant, request);
+    if gated {
+        shared.admission.complete(&tenant.name);
+    }
+    if let Some(reply) = reply {
+        sink.send(&reply);
+    }
     let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     shared.metrics.request_micros.record(micros);
 }
 
-fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: &Arc<ReplySink>) {
+/// Applies one queued request; returns the reply to write, if any.
+fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request) -> Option<Reply> {
     let seq = request.seq();
     // Write-ahead logging — the journal append must land before the
     // in-memory session state mutates, and both must be atomic with
@@ -1310,22 +1319,21 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
         // migrated-away tenant answers with its redirect code so the
         // client reconnects and resumes against the new owner.
         drop(session_slot);
-        if shared.tenant_moved(&tenant.name) {
-            sink.send(&Reply::error(
+        return Some(if shared.tenant_moved(&tenant.name) {
+            Reply::error(
                 CODE_TENANT_MOVED,
                 format!("tenant `{}` was migrated to another shard", tenant.name),
                 Some(&tenant.name),
                 seq,
-            ));
+            )
         } else {
-            sink.send(&Reply::error(
+            Reply::error(
                 "unknown-tenant",
                 format!("tenant `{}` is closed", tenant.name),
                 Some(&tenant.name),
                 seq,
-            ));
-        }
-        return;
+            )
+        });
     };
     let name = tenant.name.clone();
     match check_seq(&request, session) {
@@ -1335,13 +1343,12 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
         SeqCheck::Duplicate if !matches!(request, Request::Stats { .. }) => {
             let reply = duplicate_reply(&request, session, &name);
             drop(session_slot);
-            sink.send(&reply);
-            return;
+            return Some(reply);
         }
         SeqCheck::Duplicate => {}
         SeqCheck::Gap { got, last } => {
             drop(session_slot);
-            sink.send(&Reply::error(
+            return Some(Reply::error(
                 "seq-gap",
                 format!(
                     "request seq {got} skips ahead of the session's last seq {last}; \
@@ -1351,7 +1358,6 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
                 Some(&tenant.name),
                 seq,
             ));
-            return;
         }
     }
     let is_resume = matches!(request, Request::Resume { .. });
@@ -1453,8 +1459,7 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
             Err(e) => Reply::error(e.code, e.message, Some(&tenant.name), seq),
         },
         Request::Evict { .. } => {
-            let session = session_slot.take();
-            let Some(mut s) = session else { return };
+            let mut s = session_slot.take()?;
             // The inbox is FIFO and the worker owns the tenant, so every
             // request queued before the evict has been applied: this
             // checkpoint is the exact cut the destination must adopt.
@@ -1473,11 +1478,10 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
             shared.admission.deregister(&tenant.name);
             tenant.metrics.open.store(false, Ordering::Relaxed);
             shared.metrics.evictions.fetch_add(1, Ordering::Relaxed);
-            sink.send(&Reply::Evicted {
+            return Some(Reply::Evicted {
                 state: Box::new(state),
                 seq,
             });
-            return;
         }
         Request::Bye { .. } => {
             let session = session_slot.take();
@@ -1495,13 +1499,12 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
                     }
                     accounting
                 }
-                None => return,
+                None => return None,
             };
             tenant.metrics.set_totals(accounting.flow, accounting.cost);
             tenant.metrics.open.store(false, Ordering::Relaxed);
             lock(&shared.accountings).push(accounting.clone());
-            sink.send(&Reply::Goodbye { accounting, seq });
-            return;
+            return Some(Reply::Goodbye { accounting, seq });
         }
     };
     // Advance the seq chain for every definitively-answered request —
@@ -1521,7 +1524,7 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
         }
     }
     drop(session_slot);
-    sink.send(&reply);
+    Some(reply)
 }
 
 #[cfg(test)]

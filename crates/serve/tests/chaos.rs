@@ -750,14 +750,83 @@ fn shedding_under_inflight_budget_recovers_exactly() {
     );
     // Client-side: every shed disconnect forced a reconnect the client
     // rode through. (The *typed* shed path — sleeping exactly the
-    // server-supplied retry_after_ms — is proven deterministically in the
-    // retry.rs unit tests; under deep pipelining the inline shed error can
-    // overtake in-flight worker replies, so it is not asserted here.)
+    // server-supplied retry_after_ms, also for a shed that overtakes
+    // in-flight worker replies — is proven deterministically in the
+    // retry.rs unit tests.)
     let client_reconnects: u64 = outcomes.iter().map(|(_, r, _)| r).sum();
     assert!(
         client_reconnects > 0,
         "clients reconnected through the shed disconnects"
     );
+}
+
+/// The other side of the shed drill: two equal-weight tenants, each
+/// pipelining exactly its fair share of the in-flight budget, are never
+/// shed. The daemon releases a request's slot before writing its reply,
+/// and a client sends its next request only after reading a reply, so the
+/// budget is never breached — on any schedule, not just a lucky one.
+#[test]
+fn a_window_at_the_fair_share_is_never_shed() {
+    use calib_serve::AdmitConfig;
+    const WINDOW: usize = 4;
+    let journal_dir = TempDir::new("fair-share-journal");
+    let (server_addr, server) = spawn_server(ServerConfig {
+        workers: 2,
+        journal_dir: Some(journal_dir.0.clone()),
+        admit: AdmitConfig {
+            max_inflight: Some(u64::try_from(2 * WINDOW).expect("small")),
+            ..AdmitConfig::default()
+        },
+        ..Default::default()
+    });
+    let reports: Vec<(String, calib_serve::ClientReport)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2usize)
+            .zip(4410u64..)
+            .map(|(i, seed)| {
+                scope.spawn(move || {
+                    let (algorithm, params) = tenant_family(i);
+                    let case = gen_case_sized(seed, &params, 2000);
+                    let expected = run_online(
+                        &case.instance,
+                        case.cal_cost,
+                        algorithm.scheduler().as_mut(),
+                    );
+                    let name = format!("fair-{i}");
+                    let (plan, drain_seq) =
+                        build_plan(&name, algorithm, case.cal_cost, &case.instance);
+                    let cfg = ClientConfig {
+                        tenant: name.clone(),
+                        window: WINDOW,
+                        deadline: Some(Duration::from_secs(10)),
+                        max_reconnects: 8,
+                        resume_on_start: false,
+                    };
+                    let report = run_plan(
+                        &server_addr.to_string(),
+                        &cfg,
+                        &plan,
+                        &mut Backoff::new(1, 20, seed),
+                        &mut SystemClock,
+                    );
+                    assert!(report.completed, "{name}: {:?}", report.errors);
+                    let reply = report.captured_for(drain_seq).expect("drain captured");
+                    assert_exact_accounting(reply, &name, expected.flow, expected.cost);
+                    (name, report)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("tenant thread"))
+            .collect()
+    });
+    for (name, report) in &reports {
+        assert_eq!(report.sheds, 0, "{name}: shed at its fair share");
+        assert_eq!(report.reconnects, 0, "{name}: reconnected");
+    }
+    let report = server.join().expect("server thread");
+    assert_eq!(report.sheds, 0, "the daemon shed a fair-share client");
+    assert!(report.all_ok(), "accountings: {:?}", report.accountings);
 }
 
 fn send_line(stream: &mut TcpStream, line: &str) {

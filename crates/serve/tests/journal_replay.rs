@@ -252,6 +252,31 @@ fn replay_from_any_crash_point_is_byte_identical() {
     }
 }
 
+/// A checkpoint taken mid-run restores to a session whose own checkpoint
+/// is byte-identical: the engine's waiting queue re-serializes its jobs in
+/// the same `(release, id)` order it was restored from, for every
+/// algorithm (heaviest-first Alg2 queues included) and every cut.
+#[test]
+fn checkpoint_json_round_trips_byte_identically_mid_run() {
+    for (algorithm, params) in families() {
+        for seed in [5u64, 29] {
+            let case = gen_case_sized(seed, &params, 60);
+            let tenant = format!("ckpt-{}-{seed}", algorithm.name());
+            let dir = TempDir::new(&tenant);
+            run_journaled_session_with(&dir.0, &tenant, algorithm, &case, None, |s, group| {
+                let bytes = s.checkpoint_state().to_json().to_string_compact();
+                let restored =
+                    TenantSession::restore_from_checkpoint(&s.checkpoint_state()).expect("restore");
+                assert_eq!(
+                    restored.checkpoint_state().to_json().to_string_compact(),
+                    bytes,
+                    "{tenant} group {group}: checkpoint bytes changed across restore"
+                );
+            });
+        }
+    }
+}
+
 /// A recovered session keeps journaling: crash *again* after recovery and
 /// a second recovery still converges (journal appends compose).
 #[test]

@@ -617,3 +617,60 @@ fn sharded_serving_is_exact_and_metrics_merge() {
     daemon_b.kill().expect("stop shard B");
     daemon_b.wait().expect("reap shard B");
 }
+
+/// A client pipelining exactly its fair share of a shard's in-flight
+/// budget through the router is never shed: the shard releases each slot
+/// before its reply starts back through the router, so the client's next
+/// request always finds the slot free. Tenants run one at a time, so each
+/// is alone on its shard and its share is the whole budget.
+#[test]
+fn a_window_at_the_fair_share_is_never_shed_through_the_router() {
+    const WINDOW: usize = 4;
+    let budget = WINDOW.to_string();
+    let journal_dir = TempDir::new("fair-share");
+    let extra = ["--run-forever", "--max-inflight", budget.as_str()];
+    let (mut daemon_a, addr_a) = spawn_daemon_args(&journal_dir.0, &extra);
+    let (mut daemon_b, addr_b) = spawn_daemon_args(&journal_dir.0, &extra);
+    let (router_addr, _config) = spawn_router(vec![addr_a, addr_b], 8);
+    let families = [
+        (Algorithm::Alg1, 1u64, 1usize),
+        (Algorithm::Alg2, 9, 1),
+        (Algorithm::Alg3, 1, 3),
+    ];
+    for (i, (algorithm, max_weight, max_p)) in families.into_iter().enumerate() {
+        let params = GenParams {
+            max_n: 1,
+            max_t: 8,
+            max_g: 60,
+            max_p,
+            max_weight,
+        };
+        let name = format!("fair-share-{i}");
+        let case = gen_case_sized(7100 + max_weight, &params, 1500);
+        let expected = run_online(
+            &case.instance,
+            case.cal_cost,
+            algorithm.scheduler().as_mut(),
+        );
+        let (plan, drain_seq) = build_plan(&name, algorithm, case.cal_cost, &case.instance);
+        let report = run_plan(
+            &router_addr,
+            &ClientConfig {
+                window: WINDOW,
+                ..client_config(&name)
+            },
+            &plan,
+            &mut Backoff::new(1, 50, 30),
+            &mut SystemClock,
+        );
+        assert!(report.completed, "{name}: {:?}", report.errors);
+        let drained = report.captured_for(drain_seq).expect("drained captured");
+        assert_exact_accounting(drained, &name, expected.flow, expected.cost);
+        assert_eq!(report.sheds, 0, "{name}: shed at its fair share");
+        assert_eq!(report.reconnects, 0, "{name}: reconnected");
+    }
+    daemon_a.kill().expect("stop shard A");
+    daemon_a.wait().expect("reap shard A");
+    daemon_b.kill().expect("stop shard B");
+    daemon_b.wait().expect("reap shard B");
+}
