@@ -21,6 +21,10 @@ pub struct RouterMetrics {
     pub requests: AtomicU64,
     /// Request lines forwarded to a backend shard.
     pub forwarded_requests: AtomicU64,
+    /// Backend writes carrying forwarded lines: one per batch of lines a
+    /// client pipelined to one shard. `forwarded_requests / forward_writes`
+    /// is the mean lines per write.
+    pub forward_writes: AtomicU64,
     /// Tenants placed onto a shard (first sighting of the name).
     pub placements: AtomicU64,
     /// Migrations completed, handoff or fallback.
@@ -58,6 +62,10 @@ impl RouterMetrics {
             (
                 "forwarded_requests",
                 self.forwarded_requests.load(Ordering::Relaxed).to_json(),
+            ),
+            (
+                "forward_writes",
+                self.forward_writes.load(Ordering::Relaxed).to_json(),
             ),
             (
                 "placements",
@@ -100,6 +108,7 @@ mod tests {
             "active_connections",
             "requests",
             "forwarded_requests",
+            "forward_writes",
             "placements",
             "busy_rejects",
             "shard_unreachable",

@@ -7,9 +7,12 @@
 //!   Tenant-addressed requests are forwarded verbatim to the owning
 //!   shard over a lazily-opened per-connection backend connection, so a
 //!   tenant's requests reach its shard in arrival order with their `seq`
-//!   chain intact.
+//!   chain intact. Forwards are batched per drained read: lines for one
+//!   shard collect until no complete line is left in the client buffer
+//!   (or a router-local request arrives), then go out in one write.
 //! * Each backend connection gets a relay thread pumping the shard's
-//!   reply lines back into the client's shared writer verbatim. Relay
+//!   reply lines back into the client's shared writer verbatim, flushing
+//!   once no complete reply is left in its own read buffer. Relay
 //!   connections carry no read timeout — an idle shard is healthy — but
 //!   a relay that sees EOF emits one unsequenced `shard-unreachable`
 //!   error to the client, whose reconnect machinery takes over.
@@ -163,10 +166,11 @@ impl LineSink {
         }
     }
 
-    /// Writes one raw line (a trailing newline is added when missing).
-    /// The writer lock spans the whole write so relay threads and the
-    /// reader thread never interleave partial lines.
-    fn send_raw(&self, line: &str) {
+    /// Writes one raw line (a trailing newline is added when missing),
+    /// flushing the client buffer when `flush` is set. The writer lock
+    /// spans the whole write so relay threads and the reader thread never
+    /// interleave partial lines.
+    fn write_raw(&self, line: &str, flush: bool) {
         let mut guard = lock(&self.writer);
         if let Some(w) = guard.as_mut() {
             let ok = if line.ends_with('\n') {
@@ -174,18 +178,37 @@ impl LineSink {
             } else {
                 w.write_all(line.as_bytes()).is_ok() && w.write_all(b"\n").is_ok()
             };
-            if !ok || w.flush().is_err() {
+            if !ok || (flush && w.flush().is_err()) {
                 *guard = None;
             }
         }
     }
 
     fn send_json(&self, v: &Json) {
-        self.send_raw(&v.to_string_compact());
+        self.write_raw(&v.to_string_compact(), true);
     }
 
     fn send(&self, reply: &Reply) {
-        self.send_raw(&reply.to_line());
+        self.write_raw(&reply.to_line(), true);
+    }
+}
+
+/// Request lines read from one client for one shard and not yet written
+/// to it: the whole batch goes out in a single backend write.
+#[derive(Default)]
+struct Pending {
+    /// The lines, each ending in `\n`, in arrival order.
+    bytes: Vec<u8>,
+    /// Each line's tenant and `seq`, for its `shard-unreachable` reply
+    /// should the write fail.
+    lines: Vec<(String, Option<u64>)>,
+}
+
+impl Pending {
+    fn push(&mut self, line: &str, tenant: String, seq: Option<u64>) {
+        self.bytes.extend_from_slice(line.as_bytes());
+        self.bytes.push(b'\n');
+        self.lines.push((tenant, seq));
     }
 }
 
@@ -301,9 +324,18 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, output: Box<dyn Wr
     let sink = Arc::new(LineSink::new(output));
     let closing = Arc::new(AtomicBool::new(false));
     let mut backends: HashMap<usize, Backend> = HashMap::new();
+    let mut pending: Vec<Pending> = std::iter::repeat_with(Pending::default)
+        .take(shared.config.shards.len())
+        .collect();
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
+        // Forwards are batched per drained read: once no complete line is
+        // left in the client buffer, the next read may block, so every
+        // pending batch goes out first.
+        if !reader.buffer().contains(&b'\n') {
+            forward_all(shared, &mut backends, &mut pending, &sink, &closing);
+        }
         line.clear();
         match read_bounded_line(&mut reader, &mut line) {
             Ok(0) => break,
@@ -345,7 +377,14 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, output: Box<dyn Wr
         };
         shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let seq = parsed.get("seq").and_then(Json::as_u64);
-        match parsed.get("type").and_then(Json::as_str).unwrap_or("") {
+        let ty = parsed.get("type").and_then(Json::as_str).unwrap_or("");
+        if matches!(ty, "ping" | "metrics" | "migrate") {
+            // Router-local requests see every earlier line already at its
+            // shard — a `migrate` must evict after the tenant's queued
+            // window, not before it.
+            forward_all(shared, &mut backends, &mut pending, &sink, &closing);
+        }
+        match ty {
             "ping" => {
                 sink.send(&pong(shared, seq));
                 continue;
@@ -388,17 +427,9 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, output: Box<dyn Wr
             continue;
         }
         let shard = place(shared, &tenant);
-        forward(
-            shared,
-            &mut backends,
-            shard,
-            trimmed,
-            &sink,
-            &closing,
-            &tenant,
-            request.seq(),
-        );
+        pending[shard].push(trimmed, tenant, request.seq());
     }
+    forward_all(shared, &mut backends, &mut pending, &sink, &closing);
     closing.store(true, Ordering::Relaxed);
     for backend in backends.values() {
         let _ = backend.stream.shutdown(Shutdown::Both);
@@ -430,21 +461,35 @@ fn place(shared: &Shared, tenant: &str) -> usize {
     shard
 }
 
-/// Forwards one raw request line to `shard` over this connection's
-/// backend map, opening (or reopening, once) the backend connection and
-/// its relay thread on demand. Failures surface as a typed
-/// `shard-unreachable` error carrying the tenant and `seq`.
-#[allow(clippy::too_many_arguments)]
+/// Writes every shard's pending batch; see [`forward`].
+fn forward_all(
+    shared: &Arc<Shared>,
+    backends: &mut HashMap<usize, Backend>,
+    pending: &mut [Pending],
+    sink: &Arc<LineSink>,
+    closing: &Arc<AtomicBool>,
+) {
+    for (shard, batch) in pending.iter_mut().enumerate() {
+        if !batch.lines.is_empty() {
+            forward(shared, backends, shard, batch, sink, closing);
+        }
+    }
+}
+
+/// Forwards one batch of raw request lines to `shard` in a single write
+/// over this connection's backend map, opening (or reopening, once) the
+/// backend connection and its relay thread on demand. If both attempts
+/// fail, every line in the batch gets its own typed `shard-unreachable`
+/// error carrying its tenant and `seq`. Leaves the batch empty.
 fn forward(
     shared: &Arc<Shared>,
     backends: &mut HashMap<usize, Backend>,
     shard: usize,
-    line: &str,
+    batch: &mut Pending,
     sink: &Arc<LineSink>,
     closing: &Arc<AtomicBool>,
-    tenant: &str,
-    seq: Option<u64>,
 ) {
+    let lines = u64::try_from(batch.lines.len()).unwrap_or(u64::MAX);
     for _attempt in 0..2u32 {
         let dead = backends
             .get(&shard)
@@ -466,11 +511,12 @@ fn forward(
             break;
         };
         let mut w = &backend.stream;
-        if w.write_all(line.as_bytes()).is_ok() && w.write_all(b"\n").is_ok() {
-            shared
-                .metrics
-                .forwarded_requests
-                .fetch_add(1, Ordering::Relaxed);
+        if w.write_all(&batch.bytes).is_ok() {
+            let m = &shared.metrics;
+            m.forwarded_requests.fetch_add(lines, Ordering::Relaxed);
+            m.forward_writes.fetch_add(1, Ordering::Relaxed);
+            batch.bytes.clear();
+            batch.lines.clear();
             return;
         }
         // The write half died between the liveness check and the write;
@@ -482,13 +528,18 @@ fn forward(
     shared
         .metrics
         .shard_unreachable
-        .fetch_add(1, Ordering::Relaxed);
-    sink.send(&Reply::error(
-        CODE_SHARD_UNREACHABLE,
-        format!("shard {shard} is unreachable"),
-        Some(tenant),
-        seq,
-    ));
+        .fetch_add(lines, Ordering::Relaxed);
+    let last = batch.lines.len().saturating_sub(1);
+    for (i, (tenant, seq)) in batch.lines.drain(..).enumerate() {
+        let reply = Reply::error(
+            CODE_SHARD_UNREACHABLE,
+            format!("shard {shard} is unreachable"),
+            Some(&tenant),
+            seq,
+        );
+        sink.write_raw(&reply.to_line(), i == last);
+    }
+    batch.bytes.clear();
 }
 
 /// Connects to `shard` (with seeded backoff between attempts) and spawns
@@ -532,7 +583,11 @@ impl RelayHandle {
             line.clear();
             match reader.read_line(&mut line) {
                 Ok(0) | Err(_) => break,
-                Ok(_) => self.sink.send_raw(&line),
+                // Flush once per drained read: while another complete
+                // reply is already buffered, the next read cannot block.
+                Ok(_) => self
+                    .sink
+                    .write_raw(&line, !reader.buffer().contains(&b'\n')),
             }
         }
         self.alive.store(false, Ordering::Relaxed);

@@ -184,6 +184,9 @@ pub struct ServeMetrics {
     pub adoptions: AtomicU64,
     /// Tenants drained, checkpointed, and removed via `evict`.
     pub evictions: AtomicU64,
+    /// Reply-sink flushes: socket writes carrying one or more reply lines.
+    /// `requests / reply_writes` is the mean replies per write.
+    pub reply_writes: AtomicU64,
     /// Worker time per processed request, microseconds.
     pub request_micros: LogHistogram,
     /// Wall-clock journal-append cost, microseconds, all tenants.
@@ -370,6 +373,10 @@ impl ServeMetrics {
             (
                 "evictions",
                 self.evictions.load(Ordering::Relaxed).to_json(),
+            ),
+            (
+                "reply_writes",
+                self.reply_writes.load(Ordering::Relaxed).to_json(),
             ),
             ("tenants_open", self.open_tenants().to_json()),
         ]);

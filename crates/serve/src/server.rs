@@ -13,7 +13,10 @@
 //!   arrival order, one at a time, while distinct tenants run in parallel
 //!   across the pool.
 //! * Replies go through a per-connection mutexed writer; reader threads
-//!   write `busy` and parse errors directly, workers write everything else.
+//!   write `busy` and parse errors directly (flushed at once), workers
+//!   write everything else and flush once per pipelined batch: when the
+//!   tenant's inbox holds no further request for the same connection, and
+//!   before a `drain`, `bye` or `evict`.
 //!
 //! ## Backpressure
 //!
@@ -165,41 +168,68 @@ impl ServeReport {
 }
 
 /// A shared, mutex-guarded line sink for one connection's replies.
+///
+/// Workers [`write`](ReplySink::write) replies into the connection's
+/// buffer and [`flush`](ReplySink::flush) once per pipelined batch (see
+/// [`worker_loop`]); replies the reader sends inline go out at once via
+/// [`send`](ReplySink::send). Write errors mean the peer is gone; the sink
+/// shuts itself off and the reader thread notices on its side.
 struct ReplySink {
     writer: Mutex<Option<Box<dyn Write + Send>>>,
+    /// The registry whose `reply_writes` counts this sink's flushes.
+    metrics: Arc<ServeMetrics>,
 }
 
 impl ReplySink {
-    fn new(writer: Box<dyn Write + Send>) -> ReplySink {
+    fn new(writer: Box<dyn Write + Send>, metrics: Arc<ServeMetrics>) -> ReplySink {
         ReplySink {
             writer: Mutex::new(Some(writer)),
+            metrics,
         }
     }
 
     /// A sink that discards everything — used for synthetic cleanup
     /// requests after a disconnect.
-    fn null() -> ReplySink {
+    fn null(metrics: Arc<ServeMetrics>) -> ReplySink {
         ReplySink {
             writer: Mutex::new(None),
+            metrics,
         }
     }
 
-    /// Writes one reply line. Write errors mean the peer is gone; the sink
-    /// shuts itself off and the reader thread notices on its side.
-    fn send(&self, reply: &Reply) {
+    /// Buffers one reply line without flushing it.
+    fn write(&self, reply: &Reply) {
+        let line = reply.to_line();
         // The writer lock IS the reply serialization point — it must span
         // the whole line write so concurrent replies never interleave.
         // lint:allow(lock-discipline): deliberate hold across the write
-        let mut guard = match self.writer.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut guard = lock(&self.writer);
         if let Some(w) = guard.as_mut() {
-            let line = reply.to_line();
-            if w.write_all(line.as_bytes()).is_err() || w.flush().is_err() {
+            if w.write_all(line.as_bytes()).is_err() {
                 *guard = None;
             }
         }
+    }
+
+    /// Pushes every buffered reply to the peer.
+    fn flush(&self) {
+        // Same serialization point as `write`: a flush must not interleave
+        // with another thread's half-written line.
+        // lint:allow(lock-discipline): deliberate hold across the flush
+        let mut guard = lock(&self.writer);
+        if let Some(w) = guard.as_mut() {
+            if w.flush().is_ok() {
+                self.metrics.reply_writes.fetch_add(1, Ordering::Relaxed);
+            } else {
+                *guard = None;
+            }
+        }
+    }
+
+    /// Writes one reply line and flushes it at once.
+    fn send(&self, reply: &Reply) {
+        self.write(reply);
+        self.flush();
     }
 }
 
@@ -341,6 +371,7 @@ impl Shared {
     /// connection (a shed in journaling mode, where the session detaches
     /// safely and the client reconnects with `resume`).
     fn enqueue(&self, tenant: &Arc<Tenant>, req: Request, sink: &Arc<ReplySink>) -> bool {
+        let seq = req.seq();
         // Admission gates only the work-bearing requests; control traffic
         // (resume/decisions/stats/bye) always passes so overloaded
         // tenants can still observe, drain, and leave.
@@ -355,7 +386,7 @@ impl Shared {
                         "token bucket empty; retry after the hinted delay",
                         Some(&tenant.name),
                         retry_after_ms,
-                        req.seq(),
+                        seq,
                     ));
                     return true;
                 }
@@ -371,7 +402,7 @@ impl Shared {
                         "in-flight budget breached; reconnect after the hinted delay",
                         Some(&tenant.name),
                         retry_after_ms,
-                        req.seq(),
+                        seq,
                     ));
                     return !disconnect;
                 }
@@ -383,7 +414,7 @@ impl Shared {
             if inbox.queue.len() >= cap {
                 false
             } else {
-                inbox.queue.push_back((req.clone(), Arc::clone(sink)));
+                inbox.queue.push_back((req, Arc::clone(sink)));
                 inbox.high_water = inbox.high_water.max(inbox.queue.len());
                 tenant
                     .metrics
@@ -404,7 +435,7 @@ impl Shared {
                 "busy",
                 format!("tenant queue full ({cap} requests)"),
                 Some(&tenant.name),
-                req.seq(),
+                seq,
             ));
         }
         true
@@ -415,7 +446,8 @@ impl Shared {
     fn enqueue_cleanup(&self, tenant: &Arc<Tenant>, req: Request) {
         {
             let mut inbox = lock(&tenant.inbox);
-            inbox.queue.push_back((req, Arc::new(ReplySink::null())));
+            let sink = ReplySink::null(Arc::clone(&self.metrics));
+            inbox.queue.push_back((req, Arc::new(sink)));
         }
         self.schedule(tenant);
     }
@@ -604,7 +636,7 @@ fn report(shared: &Shared) -> ServeReport {
 
 /// Reads request lines from one connection until EOF, routing them.
 fn run_connection(shared: &Shared, conn: u64, input: impl Read, output: Box<dyn Write + Send>) {
-    let sink = Arc::new(ReplySink::new(output));
+    let sink = Arc::new(ReplySink::new(output, Arc::clone(&shared.metrics)));
     let mut reader = BufReader::new(input);
     let mut line = String::new();
     loop {
@@ -1198,6 +1230,11 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let Some(tenant) = tenant else { return };
+        // The sink holding this worker's last reply, not yet flushed. It
+        // stays buffered only while the very next request in the inbox
+        // answers on the same sink and is cheap, so a pipelining client
+        // gets one socket write per batch and no reply waits on input.
+        let mut unflushed: Option<Arc<ReplySink>> = None;
         loop {
             let next = {
                 let mut inbox = lock(&tenant.inbox);
@@ -1214,10 +1251,30 @@ fn worker_loop(shared: &Shared) {
                     }
                 }
             };
+            if let Some(prev) = unflushed.take() {
+                let batch_continues = next
+                    .as_ref()
+                    .is_some_and(|(req, sink)| Arc::ptr_eq(sink, &prev) && !is_slow(req));
+                if !batch_continues {
+                    prev.flush();
+                }
+            }
             let Some((request, sink)) = next else { break };
             process(shared, &tenant, request, &sink);
+            unflushed = Some(sink);
         }
     }
+}
+
+/// Requests whose processing can take long (a whole-history check, a
+/// finalization, a checkpoint handoff): replies buffered ahead of one are
+/// flushed first, so a cheap reply never waits behind it. (`adopt` never
+/// reaches a worker; the reader answers it inline and flushes at once.)
+fn is_slow(request: &Request) -> bool {
+    matches!(
+        request,
+        Request::Drain { .. } | Request::Bye { .. } | Request::Evict { .. }
+    )
 }
 
 /// What the seq-chain check decided for one queued request.
@@ -1281,8 +1338,10 @@ fn duplicate_reply(request: &Request, session: &TenantSession, name: &str) -> Re
     }
 }
 
-/// Handles one queued request against the tenant's session and writes its
-/// reply, timing both into the daemon-wide request histogram.
+/// Handles one queued request against the tenant's session and buffers
+/// its reply, timing both into the daemon-wide request histogram; the
+/// caller ([`worker_loop`]) decides when the sink is flushed, so the
+/// histogram excludes that deferred flush.
 ///
 /// An admitted work-bearing request holds its in-flight slot until the
 /// request is done, whatever the outcome — and the slot is released
@@ -1299,7 +1358,7 @@ fn process(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: &Arc<R
         shared.admission.complete(&tenant.name);
     }
     if let Some(reply) = reply {
-        sink.send(&reply);
+        sink.write(&reply);
     }
     let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     shared.metrics.request_micros.record(micros);
