@@ -8,9 +8,13 @@
 //! * Every `CheckpointState` field's wire key appears in *both* snapshot
 //!   serializers (`to_json` for replies, `write_fields` for the journal's
 //!   hand-rolled writer) *and* in the parser (`from_json`).
-//! * Every `EngineSnapshot` field (defined cross-crate in
-//!   `online/src/engine.rs`) likewise appears in `engine_json`,
-//!   `write_engine`, and `engine_from_json`.
+//! * Every field of the engine snapshot structs (defined cross-crate in
+//!   `online/src/engine.rs`) likewise appears in its serializer, journal
+//!   writer, and parser: `EngineSnapshot` in `engine_json`/`write_engine`/
+//!   `engine_from_json`, and the nested `IntervalSnapshot` and
+//!   `MachineSnapshot` in `interval_json`/`write_interval`/
+//!   `interval_from_json` and `machine_json`/`write_machine`/
+//!   `machine_from_json`.
 //!
 //! Field presence is a quoted-key containment check: the serializer must
 //! contain a string literal equal to the wire key or containing
@@ -28,6 +32,23 @@ use super::SemContext;
 
 /// Functions forming the journal replay path.
 const REPLAY_FNS: [&str; 2] = ["apply_record", "replay_with_report"];
+
+/// Engine snapshot structs and their protocol.rs serializer, journal
+/// writer, and parser.
+const ENGINE_ROUND_TRIPS: [(&str, [&str; 3]); 3] = [
+    (
+        "EngineSnapshot",
+        ["engine_json", "write_engine", "engine_from_json"],
+    ),
+    (
+        "IntervalSnapshot",
+        ["interval_json", "write_interval", "interval_from_json"],
+    ),
+    (
+        "MachineSnapshot",
+        ["machine_json", "write_machine", "machine_from_json"],
+    ),
+];
 
 /// Wire keys a `CheckpointState` field serializes under. `config` is
 /// flattened into the tenant-config scalars; `cost` is written as
@@ -152,7 +173,8 @@ pub fn check(ctx: &SemContext<'_>) -> Vec<Finding> {
         }
     }
 
-    // CheckpointState and EngineSnapshot round-trips through protocol.rs.
+    // CheckpointState and the engine snapshot round-trips through
+    // protocol.rs.
     if let Some(protocol) = ctx.index_of("crates/serve/src/protocol.rs") {
         check_struct_round_trip(
             protocol,
@@ -167,18 +189,16 @@ pub fn check(ctx: &SemContext<'_>) -> Vec<Finding> {
             &mut findings,
         );
         if let Some(engine) = ctx.index_of("crates/online/src/engine.rs") {
-            check_struct_round_trip(
-                engine,
-                "EngineSnapshot",
-                protocol,
-                &[
-                    ("engine_json", None),
-                    ("write_engine", None),
-                    ("engine_from_json", None),
-                ],
-                |f| vec![f],
-                &mut findings,
-            );
+            for (struct_name, fns) in ENGINE_ROUND_TRIPS {
+                check_struct_round_trip(
+                    engine,
+                    struct_name,
+                    protocol,
+                    &fns.map(|f| (f, None)),
+                    |f| vec![f],
+                    &mut findings,
+                );
+            }
         }
     }
     findings

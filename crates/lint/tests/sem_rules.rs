@@ -318,3 +318,45 @@ impl CheckpointState {
     let l9 = rules_of(&findings, RuleId::JournalExhaustiveness);
     assert_eq!(l9, vec![("crates/serve/src/protocol.rs".to_string(), 4)]);
 }
+
+#[test]
+fn l9_interval_field_missing_from_one_encoder_is_flagged() {
+    let engine = r#"
+pub struct IntervalSnapshot {
+    pub start: i64,
+    pub reason: String,
+}
+"#;
+    let protocol = |writer_reason: &str| {
+        format!(
+            r#"
+fn interval_json(iv: &IntervalSnapshot) -> String {{
+    format!("{{{{\"start\":{{}},\"reason\":{{}}}}}}", iv.start, iv.reason)
+}}
+fn write_interval(out: &mut String, iv: &IntervalSnapshot) {{
+    out.push_str("{{\"start\":");
+    out.push_str("{writer_reason}");
+}}
+fn interval_from_json(s: &str) -> IntervalSnapshot {{
+    let _ = (s.contains("start"), s.contains("reason"));
+    IntervalSnapshot {{ start: 0, reason: String::new() }}
+}}
+"#
+        )
+    };
+    let l9 = |protocol_src: String| {
+        let files = [
+            lib("crates/online/src/engine.rs", "online", engine),
+            lib("crates/serve/src/protocol.rs", "serve", &protocol_src),
+        ];
+        let findings = check_files(&files, None, Some("`error`".to_string()));
+        rules_of(&findings, RuleId::JournalExhaustiveness)
+    };
+    // All three functions carry both keys: clean.
+    assert!(l9(protocol(r#",\"reason\":"#)).is_empty());
+    // The journal writer drops `reason` → one finding, on the field line.
+    assert_eq!(
+        l9(protocol(r#",\"label\":"#)),
+        vec![("crates/online/src/engine.rs".to_string(), 4)]
+    );
+}

@@ -64,7 +64,7 @@ where
         .build()
         .unwrap();
     let probe_res = run_online(&probe, cal_cost, &mut make_scheduler());
-    let calibrated_at_zero = probe_res.trace.first().is_some_and(|&(t, _)| t == 0);
+    let calibrated_at_zero = probe_res.intervals.first().is_some_and(|iv| iv.start == 0);
 
     let (branch, instance) = if calibrated_at_zero {
         let inst = InstanceBuilder::new(cal_len)

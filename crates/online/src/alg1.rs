@@ -124,7 +124,8 @@ mod tests {
         let inst = InstanceBuilder::new(3).unit_jobs([0]).build().unwrap();
         let res = run_online(&inst, 5, &mut Alg1::new());
         assert_eq!(res.calibrations, 1);
-        assert_eq!(res.trace[0], (3, reason::FLOW));
+        assert_eq!(res.intervals[0].start, 3);
+        assert_eq!(res.intervals[0].reason, reason::FLOW);
         assert_eq!(res.flow, 4); // scheduled at 3, released at 0
         assert_eq!(res.cost, 9);
     }
@@ -140,7 +141,8 @@ mod tests {
         // At t = 1 the two waiting jobs would incur flow 3 + 3 = 6 >= G if
         // run from t+1, so the flow rule fires before the queue rule
         // (which needs 3 jobs).
-        assert_eq!(res.trace[0], (1, reason::FLOW));
+        assert_eq!(res.intervals[0].start, 1);
+        assert_eq!(res.intervals[0].reason, reason::FLOW);
         // The straggler at release 2 misses slot 2 (taken by job 1), waits
         // out the interval, and gets its own calibration at t = 6.
         assert_eq!(res.calibrations, 2);
@@ -157,7 +159,8 @@ mod tests {
         let res = run_online(&inst, 8, &mut Alg1::new());
         // Job 0: f crosses 8 at t = 6 (f(t) = t+2). Runs at 6, flow 7.
         // 7 >= G/2 = 4, so no immediate calibration for the arrival at 8...
-        assert_eq!(res.trace[0], (6, reason::FLOW));
+        assert_eq!(res.intervals[0].start, 6);
+        assert_eq!(res.intervals[0].reason, reason::FLOW);
         // Job at 8 arrives inside the interval [6, 10) and runs at 8.
         assert_eq!(res.calibrations, 1);
         assert_eq!(res.flow, 7 + 1);
@@ -174,8 +177,10 @@ mod tests {
             .build()
             .unwrap();
         let res = run_online(&inst, 24, &mut Alg1::new());
-        assert_eq!(res.trace[0], (0, reason::QUEUE));
-        assert_eq!(res.trace[1], (7, reason::IMMEDIATE));
+        assert_eq!(res.intervals[0].start, 0);
+        assert_eq!(res.intervals[0].reason, reason::QUEUE);
+        assert_eq!(res.intervals[1].start, 7);
+        assert_eq!(res.intervals[1].reason, reason::IMMEDIATE);
         assert_eq!(res.flow, 10 + 1);
         assert_eq!(res.cost, 48 + 11);
     }
@@ -193,7 +198,7 @@ mod tests {
         assert_eq!(with_rule.flow, 11);
         // f(t) = t − 5 crosses 24 at t = 29; the job runs at 29, flow 23.
         assert_eq!(without.flow, 10 + 23);
-        assert_eq!(without.trace[1].1, reason::FLOW);
+        assert_eq!(without.intervals[1].reason, reason::FLOW);
         assert_eq!(with_rule.calibrations, without.calibrations);
     }
 
@@ -207,7 +212,8 @@ mod tests {
         let res = run_online(&inst, 3, &mut Alg1::new());
         // G/T = 0.5 <= 1, so the queue rule fires on arrival at t = 0; the
         // interval [0, 6) catches the arrivals at 4 and 5 at their release.
-        assert_eq!(res.trace[0], (0, reason::QUEUE));
+        assert_eq!(res.intervals[0].start, 0);
+        assert_eq!(res.intervals[0].reason, reason::QUEUE);
         assert_eq!(res.calibrations, 1);
         assert_eq!(res.flow, 1 + 1 + 1);
     }

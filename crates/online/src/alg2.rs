@@ -129,7 +129,8 @@ mod tests {
         // calibrates instantly; a weight-1 job would wait.
         let inst = InstanceBuilder::new(4).job(0, 6).build().unwrap();
         let res = run_online(&inst, 20, &mut Alg2::new());
-        assert_eq!(res.trace[0], (0, reason::WEIGHT));
+        assert_eq!(res.intervals[0].start, 0);
+        assert_eq!(res.intervals[0].reason, reason::WEIGHT);
         assert_eq!(res.flow, 6);
     }
 
@@ -138,7 +139,8 @@ mod tests {
         // Same parameters, weight-1 job: f(t) = t + 2 >= 20 at t = 18.
         let inst = InstanceBuilder::new(4).job(0, 1).build().unwrap();
         let res = run_online(&inst, 20, &mut Alg2::new());
-        assert_eq!(res.trace[0], (18, reason::FLOW));
+        assert_eq!(res.intervals[0].start, 18);
+        assert_eq!(res.intervals[0].reason, reason::FLOW);
         assert_eq!(res.flow, 19);
     }
 
@@ -148,7 +150,8 @@ mod tests {
         // light jobs fill the queue to |Q| = T = 2 first.
         let inst = InstanceBuilder::new(2).job(0, 1).job(1, 1).build().unwrap();
         let res = run_online(&inst, 100, &mut Alg2::new());
-        assert_eq!(res.trace[0], (1, reason::FULL_QUEUE));
+        assert_eq!(res.intervals[0].start, 1);
+        assert_eq!(res.intervals[0].reason, reason::FULL_QUEUE);
     }
 
     #[test]

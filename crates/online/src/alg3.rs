@@ -140,7 +140,6 @@ pub fn run_alg3_practical(instance: &Instance, cal_cost: Cost) -> RunResult {
         calibrations,
         schedule,
         intervals: spec.intervals,
-        trace: spec.trace,
     }
 }
 
@@ -178,7 +177,7 @@ mod tests {
         let inst = InstanceBuilder::new(3).unit_jobs([0]).build().unwrap();
         let res = run_online(&inst, 5, &mut Alg3::new());
         assert_eq!(res.calibrations, 1);
-        assert_eq!(res.trace[0].0, 3);
+        assert_eq!(res.intervals[0].start, 3);
         assert_eq!(res.flow, 4);
     }
 
@@ -194,7 +193,7 @@ mod tests {
         let res = run_online(&inst, 2, &mut Alg3::new());
         assert_eq!(res.calibrations, 3);
         assert_eq!(res.flow, 3); // all at slot 0
-        assert!(res.trace.iter().all(|&(t, _)| t == 0));
+        assert!(res.intervals.iter().all(|iv| iv.start == 0));
     }
 
     #[test]

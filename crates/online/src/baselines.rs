@@ -109,7 +109,7 @@ mod tests {
     fn ski_rental_waits_for_flow() {
         let inst = InstanceBuilder::new(3).unit_jobs([0]).build().unwrap();
         let res = run_online(&inst, 5, &mut SkiRentalBatch);
-        assert_eq!(res.trace[0].0, 3); // f(t) = t + 2 crosses 5 at t = 3
+        assert_eq!(res.intervals[0].start, 3); // f(t) = t + 2 crosses 5 at t = 3
         assert_eq!(res.flow, 4);
     }
 
@@ -125,8 +125,8 @@ mod tests {
         let ski = run_online(&inst, g, &mut SkiRentalBatch);
         let alg1 = run_online(&inst, g, &mut crate::alg1::Alg1::new());
         // Alg1 calibrates at t=0 (5 * 10 >= 40); ski waits until f >= 40.
-        assert_eq!(alg1.trace[0].0, 0);
-        assert!(ski.trace[0].0 > 0);
+        assert_eq!(alg1.intervals[0].start, 0);
+        assert!(ski.intervals[0].start > 0);
         assert!(ski.flow > alg1.flow);
     }
 }

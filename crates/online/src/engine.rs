@@ -24,6 +24,7 @@
 //! byte-identical schedules — a property the `calib-serve` determinism
 //! tests pin down end to end.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -166,20 +167,32 @@ impl MachineState {
     }
 }
 
-/// A live record of one interval (calibration) and the jobs it ran —
-/// exposed to schedulers because Algorithm 1's immediate-calibration rule
-/// inspects "the total flow of jobs in the most recent calibration".
+/// A live record of one interval (calibration) and the jobs it ran — the
+/// engine's only record of a calibration. Exposed to schedulers because
+/// Algorithm 1's immediate-calibration rule inspects "the total flow of
+/// jobs in the most recent calibration".
 #[derive(Debug, Clone)]
 pub struct IntervalRecord {
     /// The machine the interval lives on.
     pub machine: MachineId,
     /// The calibration time.
     pub start: Time,
+    /// The rule that opened the interval (the scheduler's
+    /// [`Decision::reason`], `"calibrate"` when it gave none).
+    pub reason: Cow<'static, str>,
     /// Jobs run in this interval, with their slots.
     pub jobs: Vec<(Job, Time)>,
 }
 
 impl IntervalRecord {
+    /// The calibration that opened this interval.
+    pub fn calibration(&self) -> Calibration {
+        Calibration {
+            machine: self.machine,
+            start: self.start,
+        }
+    }
+
     /// Total weighted flow of the jobs run in this interval so far.
     pub fn total_flow(&self) -> Cost {
         self.jobs
@@ -267,7 +280,9 @@ impl EngineView<'_> {
 /// Outcome of an online run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    /// The produced schedule (already validated against the instance).
+    /// The produced schedule. [`run_online`] and its siblings validate it
+    /// against the instance; [`EngineSession::finish`] leaves that to the
+    /// caller ([`calib_core::check_schedule`] over the submitted jobs).
     pub schedule: Schedule,
     /// Total weighted flow.
     pub flow: Cost,
@@ -275,10 +290,9 @@ pub struct RunResult {
     pub calibrations: usize,
     /// Online objective `G·C + flow`.
     pub cost: Cost,
-    /// Per-interval job records.
+    /// Per-interval records (calibration, trigger label, jobs), in
+    /// calibration order.
     pub intervals: Vec<IntervalRecord>,
-    /// Calibration trigger labels `(time, reason)`, in order.
-    pub trace: Vec<(Time, &'static str)>,
 }
 
 /// Engine configuration knobs.
@@ -465,24 +479,6 @@ impl Decisions {
     }
 }
 
-/// Everything a completed session produced.
-#[derive(Debug, Clone)]
-pub struct SessionOutcome {
-    /// The produced schedule (not yet validated — run
-    /// [`calib_core::check_schedule`] against the jobs' instance).
-    pub schedule: Schedule,
-    /// Total weighted flow of the schedule.
-    pub flow: Cost,
-    /// Number of calibrations.
-    pub calibrations: usize,
-    /// Online objective `G·C + flow`.
-    pub cost: Cost,
-    /// Per-interval job records.
-    pub intervals: Vec<IntervalRecord>,
-    /// Calibration trigger labels `(time, reason)`, in order.
-    pub trace: Vec<(Time, &'static str)>,
-}
-
 /// A point-in-time serializable copy of one [`MachineState`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineSnapshot {
@@ -504,6 +500,8 @@ pub struct IntervalSnapshot {
     pub machine: MachineId,
     /// The calibration time.
     pub start: Time,
+    /// The rule that opened the interval.
+    pub reason: String,
     /// Jobs run in this interval, as `(job, slot)` pairs.
     pub jobs: Vec<(JobId, Time)>,
 }
@@ -515,10 +513,9 @@ pub struct IntervalSnapshot {
 /// [`EngineSession::restore`] rebuilds a session that continues
 /// *byte-identically*: every future decision, every schedule entry, and
 /// the remaining fuel match the original session exactly. Derived state
-/// (the per-machine interval index, the outstanding-reservation count) is
-/// recomputed rather than stored, and trace reason labels are re-interned
-/// against the known label table (an unknown label degrades to the generic
-/// `"calibrate"` — labels are diagnostic, never load-bearing).
+/// (the per-machine interval index, the outstanding-reservation count, the
+/// calibrations, which are the intervals' `(machine, start)`) is recomputed
+/// rather than stored.
 ///
 /// The serve layer persists this as the engine half of a journal
 /// checkpoint record; the wire shape lives in `calib_serve::protocol`.
@@ -542,12 +539,8 @@ pub struct EngineSnapshot {
     pub intervals: Vec<IntervalSnapshot>,
     /// Round-robin pointer for the next calibration's machine.
     pub rr_next: usize,
-    /// All calibrations issued so far.
-    pub calibrations: Vec<Calibration>,
     /// All job starts materialized so far.
     pub assignments: Vec<Assignment>,
-    /// Calibration trigger labels `(time, reason)`, in order.
-    pub trace: Vec<(Time, String)>,
     /// Remaining step budget (`max_steps` minus steps already processed).
     pub fuel: u64,
     /// Clock value of the last processed step.
@@ -556,45 +549,10 @@ pub struct EngineSnapshot {
     pub started: bool,
     /// The next step time the engine intends to process, `None` when idle.
     pub cursor: Option<Time>,
-    /// Delta mark into `calibrations` for `take_decisions`.
+    /// Delta mark into `intervals` for `take_decisions`.
     pub cal_mark: usize,
     /// Delta mark into `assignments` for `take_decisions`.
     pub asg_mark: usize,
-}
-
-/// Re-interns a snapshotted trace label against the table of labels the
-/// shipped schedulers emit. Labels are diagnostics (they never influence
-/// scheduling), so an unknown one degrades to the generic `"calibrate"`
-/// instead of failing the restore.
-fn intern_reason(label: &str) -> &'static str {
-    const KNOWN: &[&str] = &[
-        "calibrate",
-        "naive:now",
-        "ski:flow>=G",
-        crate::alg1::reason::QUEUE,
-        crate::alg1::reason::FLOW,
-        crate::alg1::reason::IMMEDIATE,
-        crate::alg2::reason::WEIGHT,
-        crate::alg2::reason::FULL_QUEUE,
-        crate::alg2::reason::FLOW,
-        crate::alg3::reason::QUEUE,
-        crate::alg3::reason::FLOW,
-        crate::weighted_multi::reason::WEIGHT,
-        crate::weighted_multi::reason::FULL_QUEUE,
-        crate::weighted_multi::reason::FLOW,
-        crate::tunable::reason::WEIGHT,
-        crate::tunable::reason::FULL_QUEUE,
-        crate::tunable::reason::FLOW,
-        crate::tunable::reason::IMMEDIATE,
-        crate::randomized::reason::QUEUE,
-        crate::randomized::reason::FLOW,
-        crate::randomized::reason::IMMEDIATE,
-    ];
-    KNOWN
-        .iter()
-        .copied()
-        .find(|k| *k == label)
-        .unwrap_or("calibrate")
 }
 
 /// Runs `scheduler` on `instance` with calibration cost `cal_cost`,
@@ -653,19 +611,12 @@ pub fn run_online_probed<P: Probe>(
     ));
     batch_ok(session.submit(instance.jobs()));
     batch_ok(session.drain(scheduler));
-    let (outcome, _probe) = session.finish();
-    if let Err(e) = check_schedule(instance, &outcome.schedule) {
+    let (result, _probe) = session.finish();
+    if let Err(e) = check_schedule(instance, &result.schedule) {
         panic!("online engine produced an infeasible schedule: {e}"); // lint:allow(panic-freedom)
     }
-    debug_assert_eq!(outcome.flow, outcome.schedule.total_weighted_flow(instance));
-    RunResult {
-        schedule: outcome.schedule,
-        flow: outcome.flow,
-        calibrations: outcome.calibrations,
-        cost: outcome.cost,
-        intervals: outcome.intervals,
-        trace: outcome.trace,
-    }
+    debug_assert_eq!(result.flow, result.schedule.total_weighted_flow(instance));
+    result
 }
 
 /// A re-entrant, incrementally-driven engine: the long-running counterpart
@@ -677,7 +628,7 @@ pub fn run_online_probed<P: Probe>(
 /// submitted so far). Decisions made along the way are collected and handed
 /// back as [`Decisions`] deltas. A drained session can keep accepting jobs;
 /// [`EngineSession::finish`] closes it and yields the accumulated
-/// [`SessionOutcome`].
+/// [`RunResult`].
 ///
 /// Determinism contract: submitting all of an instance's jobs up front and
 /// draining — or submitting each release group just before stepping past
@@ -697,13 +648,13 @@ pub struct EngineSession<P: Probe = NoopProbe> {
     /// the driving scheduler's `auto_policy`, adopted at every step.
     waiting: WaitQueue,
     machines: Vec<MachineState>,
+    /// Every interval calibrated so far; the calibrations are their
+    /// `(machine, start)`.
     intervals: Vec<IntervalRecord>,
     /// Map from global interval index per machine for slot->interval lookup.
     machine_intervals: Vec<Vec<usize>>,
     rr_next: usize,
-    calibrations: Vec<Calibration>,
     assignments: Vec<Assignment>,
-    trace: Vec<(Time, &'static str)>,
     pending_reservations: usize,
     config: EngineConfig,
     fuel: u64,
@@ -756,9 +707,7 @@ impl<P: Probe> EngineSession<P> {
             intervals: Vec::new(),
             machine_intervals: vec![Vec::new(); machines],
             rr_next: 0,
-            calibrations: Vec::new(),
             assignments: Vec::new(),
-            trace: Vec::new(),
             pending_reservations: 0,
             fuel: config.max_steps,
             config,
@@ -789,7 +738,7 @@ impl<P: Probe> EngineSession<P> {
 
     /// Number of calibrations issued so far.
     pub fn calibration_count(&self) -> usize {
-        self.calibrations.len()
+        self.intervals.len()
     }
 
     /// Number of job starts materialized so far.
@@ -814,7 +763,15 @@ impl<P: Probe> EngineSession<P> {
 
     /// A copy of the schedule accumulated so far.
     pub fn schedule_snapshot(&self) -> Schedule {
-        Schedule::new(self.calibrations.clone(), self.assignments.clone())
+        Schedule::new(self.calibrations_since(0), self.assignments.clone())
+    }
+
+    /// The calibrations of the intervals from index `mark` on.
+    fn calibrations_since(&self, mark: usize) -> Vec<Calibration> {
+        self.intervals[mark..]
+            .iter()
+            .map(IntervalRecord::calibration)
+            .collect()
     }
 
     /// Captures the session's complete state as an [`EngineSnapshot`] —
@@ -846,17 +803,12 @@ impl<P: Probe> EngineSession<P> {
                 .map(|iv| IntervalSnapshot {
                     machine: iv.machine,
                     start: iv.start,
+                    reason: iv.reason.to_string(),
                     jobs: iv.jobs.iter().map(|&(job, slot)| (job.id, slot)).collect(),
                 })
                 .collect(),
             rr_next: self.rr_next,
-            calibrations: self.calibrations.clone(),
             assignments: self.assignments.clone(),
-            trace: self
-                .trace
-                .iter()
-                .map(|&(t, reason)| (t, reason.to_string()))
-                .collect(),
             fuel: self.fuel,
             clock: self.clock,
             started: self.started,
@@ -944,10 +896,11 @@ impl<P: Probe> EngineSession<P> {
             intervals.push(IntervalRecord {
                 machine: iv.machine,
                 start: iv.start,
+                reason: Cow::Owned(iv.reason.clone()),
                 jobs,
             });
         }
-        if snapshot.cal_mark > snapshot.calibrations.len()
+        if snapshot.cal_mark > snapshot.intervals.len()
             || snapshot.asg_mark > snapshot.assignments.len()
         {
             return Err(corrupt("delta mark beyond decision history"));
@@ -962,13 +915,7 @@ impl<P: Probe> EngineSession<P> {
             intervals,
             machine_intervals,
             rr_next: snapshot.rr_next,
-            calibrations: snapshot.calibrations.clone(),
             assignments: snapshot.assignments.clone(),
-            trace: snapshot
-                .trace
-                .iter()
-                .map(|(t, reason)| (*t, intern_reason(reason)))
-                .collect(),
             pending_reservations,
             config: snapshot.config,
             fuel: snapshot.fuel,
@@ -1051,10 +998,10 @@ impl<P: Probe> EngineSession<P> {
     /// The decisions accumulated since the last delta was taken.
     pub fn take_decisions(&mut self) -> Decisions {
         let decisions = Decisions {
-            calibrations: self.calibrations[self.cal_mark..].to_vec(),
+            calibrations: self.calibrations_since(self.cal_mark),
             starts: self.assignments[self.asg_mark..].to_vec(),
         };
-        self.cal_mark = self.calibrations.len();
+        self.cal_mark = self.intervals.len();
         self.asg_mark = self.assignments.len();
         decisions
     }
@@ -1062,7 +1009,7 @@ impl<P: Probe> EngineSession<P> {
     /// Closes the session and returns everything it produced, handing the
     /// probe back so owners can flush or inspect their sinks. Emits the
     /// `RunComplete` probe event, mirroring the batch engine.
-    pub fn finish(mut self) -> (SessionOutcome, P) {
+    pub fn finish(mut self) -> (RunResult, P) {
         let flow: Cost = self
             .assignments
             .iter()
@@ -1073,7 +1020,7 @@ impl<P: Probe> EngineSession<P> {
                     .unwrap_or(0)
             })
             .sum();
-        let calibrations = self.calibrations.len();
+        let calibrations = self.intervals.len();
         if P::ENABLED {
             self.probe.record(&Event::RunComplete {
                 time: self.clock,
@@ -1081,15 +1028,14 @@ impl<P: Probe> EngineSession<P> {
                 calibrations: u64::try_from(calibrations).unwrap_or(u64::MAX),
             });
         }
-        let outcome = SessionOutcome {
-            schedule: Schedule::new(self.calibrations, self.assignments),
+        let result = RunResult {
+            schedule: Schedule::new(self.calibrations_since(0), self.assignments),
             flow,
             calibrations,
             cost: self.cal_cost * Cost::try_from(calibrations).unwrap_or(Cost::MAX) + flow,
             intervals: self.intervals,
-            trace: self.trace,
         };
-        (outcome, self.probe)
+        (result, self.probe)
     }
 
     /// Processes every due step with time `<= upto`, leaving the cursor at
@@ -1259,18 +1205,14 @@ impl<P: Probe> EngineSession<P> {
             let m = self.rr_next % p;
             self.rr_next += 1;
             self.machines[m].add_calibration(t, self.cal_len);
-            self.calibrations.push(Calibration {
-                machine: MachineId::from_index(m),
-                start: t,
-            });
             self.machine_intervals[m].push(self.intervals.len());
             decision_interval = Some(self.intervals.len());
             self.intervals.push(IntervalRecord {
                 machine: MachineId::from_index(m),
                 start: t,
+                reason: Cow::Borrowed(decision.reason.unwrap_or("calibrate")),
                 jobs: Vec::new(),
             });
-            self.trace.push((t, decision.reason.unwrap_or("calibrate")));
             if P::ENABLED {
                 self.probe.record(&Event::Calibrate {
                     time: t,
@@ -1623,7 +1565,13 @@ mod tests {
             assert_eq!(a.schedule, b.schedule, "cut at t={cut}");
             assert_eq!(a.flow, b.flow, "cut at t={cut}");
             assert_eq!(a.cost, b.cost, "cut at t={cut}");
-            assert_eq!(a.trace, b.trace, "cut at t={cut}");
+            let trace = |r: &RunResult| -> Vec<(Time, String)> {
+                r.intervals
+                    .iter()
+                    .map(|iv| (iv.start, iv.reason.to_string()))
+                    .collect()
+            };
+            assert_eq!(trace(&a), trace(&b), "cut at t={cut}");
         }
     }
 
@@ -1650,15 +1598,22 @@ mod tests {
         let mut bad_mark = good.clone();
         bad_mark.cal_mark = 100;
         assert_eq!(code(&bad_mark), "corrupt-snapshot");
+    }
 
-        // Unknown trace labels degrade, never fail.
-        let mut odd_label = good;
-        odd_label.trace.push((1, "from-the-future".to_string()));
+    /// A label no shipped scheduler emits survives snapshot → restore →
+    /// snapshot exactly: labels are data, not an interned table.
+    #[test]
+    fn unknown_interval_label_round_trips_exactly() {
+        let mut session = EngineSession::new(1, 4, 0, EngineConfig::default()).unwrap();
+        // G = 0: Alg1 calibrates at once, so the snapshot holds an interval.
+        session
+            .step(0, &[Job::unweighted(0, 0)], &mut crate::Alg1::new())
+            .unwrap();
+        let mut odd_label = session.snapshot();
+        odd_label.intervals[0].reason = "from-the-future".to_string();
         let restored = EngineSession::restore(&odd_label, NoopProbe).unwrap();
-        assert_eq!(
-            restored.snapshot().trace.last().map(|(_, r)| r.as_str()),
-            Some("calibrate")
-        );
+        assert_eq!(restored.snapshot(), odd_label);
+        assert_eq!(restored.snapshot().intervals[0].reason, "from-the-future");
     }
 
     /// `step(now)` must not advance past `now`: decisions due later arrive

@@ -49,7 +49,7 @@ pub use baselines::{CalibrateImmediately, SkiRentalBatch};
 pub use engine::{
     run_online, run_online_probed, run_online_with, Decisions, EngineConfig, EngineError,
     EngineSession, EngineSnapshot, EngineView, IntervalRecord, IntervalSnapshot, MachineSnapshot,
-    MachineState, RunResult, SessionOutcome,
+    MachineState, RunResult,
 };
 pub use queue::WaitQueue;
 pub use randomized::RandomizedSkiRental;

@@ -253,7 +253,7 @@ mod tests {
                 ..Thresholds::default()
             }),
         );
-        assert!(eager.trace[0].0 < lazy.trace[0].0);
+        assert!(eager.intervals[0].start < lazy.intervals[0].start);
         assert!(eager.flow < lazy.flow);
     }
 

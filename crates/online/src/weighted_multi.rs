@@ -137,7 +137,8 @@ mod tests {
             .build()
             .unwrap();
         let res = run_online(&inst, 20, &mut WeightedMulti::new());
-        assert_eq!(res.trace[0], (3, reason::WEIGHT));
+        assert_eq!(res.intervals[0].start, 3);
+        assert_eq!(res.intervals[0].reason, reason::WEIGHT);
         assert_eq!(res.flow, 9);
     }
 
@@ -211,7 +212,6 @@ pub fn run_weighted_multi_practical(
         calibrations,
         schedule,
         intervals: spec.intervals,
-        trace: spec.trace,
     }
 }
 

@@ -6,9 +6,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use calib_core::{Cost, Instance, Job};
+use calib_core::{Cost, Instance, Job, Time};
 use calib_offline::opt_online_cost;
-use calib_online::{run_online, Alg1, Alg2, CalibrateImmediately, SkiRentalBatch};
+use calib_online::{run_online, Alg1, Alg2, CalibrateImmediately, RunResult, SkiRentalBatch};
 
 fn random_instance(rng: &mut StdRng, n: usize, span: i64, max_w: u64, t: i64) -> Instance {
     let mut releases: Vec<i64> = Vec::new();
@@ -179,6 +179,12 @@ fn engine_runs_are_deterministic() {
         let a = run_online(&inst, 13, &mut Alg2::new());
         let b = run_online(&inst, 13, &mut Alg2::new());
         assert_eq!(a.schedule, b.schedule);
-        assert_eq!(a.trace, b.trace);
+        let trace = |r: &RunResult| -> Vec<(Time, String)> {
+            r.intervals
+                .iter()
+                .map(|iv| (iv.start, iv.reason.to_string()))
+                .collect()
+        };
+        assert_eq!(trace(&a), trace(&b));
     }
 }

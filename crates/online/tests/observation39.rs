@@ -90,12 +90,9 @@ fn flow_triggered_intervals_carry_at_least_g_minus_g_over_t() {
                 continue;
             }
             let res = run_online(&inst, g, &mut Alg3::new());
-            assert_eq!(res.trace.len(), res.intervals.len());
             let quota = usize::try_from((g / tc).max(1)).unwrap();
-            for (i, (interval, &(trig_t, reason))) in
-                res.intervals.iter().zip(&res.trace).enumerate()
-            {
-                if reason != alg3::reason::FLOW {
+            for (i, interval) in res.intervals.iter().enumerate() {
+                if interval.reason != alg3::reason::FLOW {
                     continue;
                 }
                 // The paper's accounting assumes the *whole* triggering
@@ -104,10 +101,9 @@ fn flow_triggered_intervals_carry_at_least_g_minus_g_over_t() {
                 // not truncated by the quota, and (c) the interval does not
                 // overlap an earlier interval on its machine (overlap eats
                 // reservable slots, truncating the reservation another way).
-                let followed = res
-                    .trace
-                    .get(i + 1)
-                    .is_some_and(|&(t2, r2)| t2 == trig_t && r2 == alg3::reason::FLOW);
+                let followed = res.intervals.get(i + 1).is_some_and(|next| {
+                    next.start == interval.start && next.reason == alg3::reason::FLOW
+                });
                 let backlogged = interval
                     .jobs
                     .iter()

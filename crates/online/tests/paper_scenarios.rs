@@ -112,9 +112,9 @@ fn immediate_rule_vacuous_when_t_below_g_over_t() {
             "immediate rule should be vacuous for T < G/T on {releases:?}"
         );
         assert!(with_rule
-            .trace
+            .intervals
             .iter()
-            .all(|&(_, r)| r != calib_online::alg1::reason::IMMEDIATE));
+            .all(|iv| iv.reason != calib_online::alg1::reason::IMMEDIATE));
     }
 }
 

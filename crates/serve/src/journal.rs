@@ -425,7 +425,10 @@ impl JournalWriter {
 ///
 /// A final line that is unterminated or unparseable is treated as a torn
 /// tail from a mid-write crash and ignored; a malformed line anywhere
-/// earlier is corruption and an `InvalidData` error.
+/// earlier is corruption and an `InvalidData` error. A checkpoint line
+/// that is intact JSON but fails payload validation is unusable, not
+/// corrupt: it is dropped wherever it sits, and recovery falls back past
+/// it to an earlier checkpoint or the opening hello.
 pub fn read_journal(path: &Path) -> io::Result<Vec<JournalRecord>> {
     let mut reader = BufReader::new(File::open(path)?);
     let mut raw: Vec<Vec<u8>> = Vec::new();
@@ -446,14 +449,17 @@ pub fn read_journal(path: &Path) -> io::Result<Vec<JournalRecord>> {
             .map(str::trim)
             .filter(|s| !s.is_empty())
             .map(|s| {
-                Json::parse(s)
-                    .map_err(|e| e.to_string())
-                    .and_then(|v| JournalRecord::from_json(&v))
+                let v = Json::parse(s).map_err(|e| e.to_string())?;
+                match JournalRecord::from_json(&v) {
+                    Err(_) if v.get("op").and_then(Json::as_str) == Some("checkpoint") => Ok(None),
+                    parsed => parsed.map(Some),
+                }
             });
         match parsed {
             // An unterminated tail still counts when it parses — the line
             // is complete JSON, only the trailing newline is missing.
-            Some(Ok(record)) => records.push(record),
+            Some(Ok(Some(record))) => records.push(record),
+            Some(Ok(None)) => {}
             Some(Err(e)) if is_tail => {
                 // Torn tail: the crash landed mid-write. Drop it.
                 let _ = e;

@@ -13,7 +13,7 @@
 
 use calib_core::json::{self, FromJson, Json, ToJson};
 use calib_core::obs::CounterSnapshot;
-use calib_core::{Assignment, Calibration, Cost, Job, JobId, Time};
+use calib_core::{Assignment, Calibration, Cost, Job, JobId, MachineId, Time};
 use calib_online::{EngineConfig, EngineSnapshot, IntervalSnapshot, MachineSnapshot};
 
 use crate::session::{Algorithm, TenantConfig};
@@ -771,6 +771,7 @@ fn interval_json(iv: &IntervalSnapshot) -> Json {
     Json::obj([
         ("machine", iv.machine.to_json()),
         ("start", iv.start.to_json()),
+        ("reason", iv.reason.as_str().to_json()),
         (
             "jobs",
             Json::Arr(iv.jobs.iter().map(|(j, s)| pair_json(j, s)).collect()),
@@ -795,17 +796,7 @@ fn engine_json(e: &EngineSnapshot) -> Json {
             Json::Arr(e.intervals.iter().map(interval_json).collect()),
         ),
         ("rr_next", e.rr_next.to_json()),
-        ("calibrations", e.calibrations.to_json()),
         ("assignments", e.assignments.to_json()),
-        (
-            "trace",
-            Json::Arr(
-                e.trace
-                    .iter()
-                    .map(|(t, label)| pair_json(t, &label.as_str()))
-                    .collect(),
-            ),
-        ),
         ("fuel", e.fuel.to_json()),
         ("clock", e.clock.to_json()),
         ("started", Json::Bool(e.started)),
@@ -820,8 +811,8 @@ fn engine_json(e: &EngineSnapshot) -> Json {
 
 // --- direct checkpoint serialization ---------------------------------
 //
-// A checkpoint line carries thousands of jobs, assignments, and trace
-// events; building the intermediate `Json` tree allocates per key and
+// A checkpoint line carries thousands of jobs, assignments, and
+// intervals; building the intermediate `Json` tree allocates per key and
 // dominates the checkpoint hot path. These writers emit byte-identical
 // compact output straight into the line buffer (asserted against the
 // tree renderer in the journal tests).
@@ -905,6 +896,8 @@ fn write_interval(out: &mut String, iv: &IntervalSnapshot) {
     push_u128(out, u128::from(iv.machine.0));
     out.push_str(",\"start\":");
     push_i64(out, iv.start);
+    out.push_str(",\"reason\":");
+    json::write_json_string(out, &iv.reason);
     out.push_str(",\"jobs\":[");
     for (i, (j, s)) in iv.jobs.iter().enumerate() {
         if i > 0 {
@@ -963,18 +956,7 @@ fn write_engine(out: &mut String, e: &EngineSnapshot) {
     }
     out.push_str("],\"rr_next\":");
     push_usize(out, e.rr_next);
-    out.push_str(",\"calibrations\":[");
-    for (i, c) in e.calibrations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"machine\":");
-        push_u128(out, u128::from(c.machine.0));
-        out.push_str(",\"start\":");
-        push_i64(out, c.start);
-        out.push('}');
-    }
-    out.push_str("],\"assignments\":[");
+    out.push_str(",\"assignments\":[");
     for (i, a) in e.assignments.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -986,17 +968,6 @@ fn write_engine(out: &mut String, e: &EngineSnapshot) {
         out.push_str(",\"machine\":");
         push_u128(out, u128::from(a.machine.0));
         out.push('}');
-    }
-    out.push_str("],\"trace\":[");
-    for (i, (t, label)) in e.trace.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        push_i64(out, *t);
-        out.push(',');
-        json::write_json_string(out, label);
-        out.push(']');
     }
     out.push_str("],\"fuel\":");
     push_u128(out, u128::from(e.fuel));
@@ -1119,8 +1090,14 @@ fn machine_from_json(v: &Json) -> Result<MachineSnapshot, String> {
     })
 }
 
-fn interval_from_json(v: &Json) -> Result<IntervalSnapshot, String> {
+/// Parses one interval. `v1_label` is its label when the engine object
+/// is in the v1 format, which kept labels outside the intervals.
+fn interval_from_json(v: &Json, v1_label: Option<String>) -> Result<IntervalSnapshot, String> {
     let f = Fields(v);
+    let reason = match v1_label {
+        Some(label) => label,
+        None => f.str("reason")?.to_string(),
+    };
     let mut jobs = Vec::new();
     for pair in f.arr("jobs")? {
         let (job, slot) = tuple2(pair, "interval job")?;
@@ -1132,8 +1109,43 @@ fn interval_from_json(v: &Json) -> Result<IntervalSnapshot, String> {
     Ok(IntervalSnapshot {
         machine: f.parsed("machine")?,
         start: f.i64("start")?,
+        reason,
         jobs,
     })
+}
+
+/// Read old, write new: a v1 engine object also holds `calibrations` and a
+/// `trace` of `[time, label]` pairs, one entry per interval each. Returns
+/// the labels in interval order, `None` for the current format. Arrays
+/// that disagree with the intervals refuse the checkpoint as corrupt.
+fn v1_labels(f: &Fields<'_>, intervals: &[Json]) -> Result<Option<Vec<String>>, String> {
+    if f.0.get("trace").is_none() {
+        return Ok(None);
+    }
+    let calibrations: Vec<Calibration> = f.parsed("calibrations")?;
+    let trace = f.arr("trace")?;
+    let disagree = || "checkpoint calibrations or trace disagree with its intervals".to_string();
+    if calibrations.len() != intervals.len() || trace.len() != intervals.len() {
+        return Err(disagree());
+    }
+    let mut labels = Vec::with_capacity(trace.len());
+    for ((c, entry), iv) in calibrations.iter().zip(trace).zip(intervals) {
+        let (t, label) = tuple2(entry, "trace entry")?;
+        let iv = Fields(iv);
+        let seen = (
+            iv.parsed::<MachineId>("machine")?,
+            iv.i64("start")?,
+            time_of(t, "trace time")?,
+        );
+        if seen != (c.machine, c.start, c.start) {
+            return Err(disagree());
+        }
+        let label = label
+            .as_str()
+            .ok_or_else(|| "checkpoint trace label is not a string".to_string())?;
+        labels.push(label.to_string());
+    }
+    Ok(Some(labels))
 }
 
 fn engine_from_json(v: &Json) -> Result<EngineSnapshot, String> {
@@ -1149,20 +1161,14 @@ fn engine_from_json(v: &Json) -> Result<EngineSnapshot, String> {
     for m in f.arr("machines")? {
         machines.push(machine_from_json(m)?);
     }
-    let mut intervals = Vec::new();
-    for iv in f.arr("intervals")? {
-        intervals.push(interval_from_json(iv)?);
-    }
-    let mut trace = Vec::new();
-    for entry in f.arr("trace")? {
-        let (t, label) = tuple2(entry, "trace entry")?;
-        trace.push((
-            time_of(t, "trace time")?,
-            label
-                .as_str()
-                .ok_or_else(|| "checkpoint trace label is not a string".to_string())?
-                .to_string(),
-        ));
+    let intervals_json = f.arr("intervals")?;
+    let mut v1_labels = v1_labels(&f, intervals_json)?.map(Vec::into_iter);
+    let mut intervals = Vec::with_capacity(intervals_json.len());
+    for iv in intervals_json {
+        intervals.push(interval_from_json(
+            iv,
+            v1_labels.as_mut().and_then(Iterator::next),
+        )?);
     }
     Ok(EngineSnapshot {
         cal_len: f.i64("cal_len")?,
@@ -1174,9 +1180,7 @@ fn engine_from_json(v: &Json) -> Result<EngineSnapshot, String> {
         machines,
         intervals,
         rr_next: f.usize("rr_next")?,
-        calibrations: f.parsed("calibrations")?,
         assignments: f.parsed("assignments")?,
-        trace,
         fuel: f.u64("fuel")?,
         clock: f.i64("clock")?,
         started: f.bool("started")?,
@@ -1255,9 +1259,7 @@ impl CheckpointState {
             * (e.known.len()
                 + e.pending.len()
                 + e.waiting.len()
-                + e.calibrations.len()
                 + e.assignments.len()
-                + e.trace.len()
                 + e.intervals.len())
     }
 

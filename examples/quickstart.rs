@@ -28,8 +28,8 @@ fn main() {
     println!("  calibrations : {}", online.calibrations);
     println!("  flow         : {}", online.flow);
     println!("  total cost   : {}", online.cost);
-    for (t, reason) in &online.trace {
-        println!("  calibrated at t={t} ({reason})");
+    for interval in &online.intervals {
+        println!("  calibrated at t={} ({})", interval.start, interval.reason);
     }
 
     // --- Offline: exact optimum via the O(K n^3) dynamic program -----------
