@@ -157,8 +157,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => out.push_str(&v.to_string()),
-            Json::UInt(v) => out.push_str(&v.to_string()),
+            Json::Int(v) => write_i128(out, *v),
+            Json::UInt(v) => write_u128(out, *v),
             Json::Float(v) => {
                 if v.is_finite() {
                     // Guarantee a re-parseable float form (keep a `.`/`e`).
@@ -242,6 +242,46 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 /// serializing large documents by hand stay byte-compatible.
 pub fn write_json_string(out: &mut String, s: &str) {
     write_escaped(out, s);
+}
+
+/// Appends `v` in decimal, the digits [`Json::to_string_compact`] emits
+/// for an integer. It skips `fmt`'s machinery and the `String` that
+/// `to_string` allocates: a large checkpoint line writes tens of
+/// thousands of integers, and the formatting would cost several times
+/// the digits.
+pub fn write_u128(out: &mut String, v: u128) {
+    let mut buf = [0u8; 39];
+    let mut i = buf.len();
+    // `u128` division is a library call several times slower than `u64`
+    // division, so only the digits of a value above `u64::MAX` take it.
+    let mut wide = v;
+    let mut narrow = loop {
+        match u64::try_from(wide) {
+            Ok(n) => break n,
+            Err(_) => {
+                i -= 1;
+                buf[i] = b'0' + u8::try_from(wide % 10).unwrap_or(0);
+                wide /= 10;
+            }
+        }
+    };
+    loop {
+        i -= 1;
+        buf[i] = b'0' + u8::try_from(narrow % 10).unwrap_or(0);
+        narrow /= 10;
+        if narrow == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).unwrap_or(""));
+}
+
+/// [`write_u128`] for signed integers: a `-` sign, then the magnitude.
+pub fn write_i128(out: &mut String, v: i128) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_u128(out, v.unsigned_abs());
 }
 
 fn write_escaped(out: &mut String, s: &str) {
@@ -734,6 +774,25 @@ mod tests {
         let f = Json::Float(2.5);
         assert_eq!(Json::parse("2.5").unwrap(), f);
         assert_eq!(Json::parse("1e3").unwrap(), Json::Float(1000.0));
+    }
+
+    #[test]
+    fn decimal_writers_match_to_string() {
+        let signed = [0, 9, 10, -1, i128::from(i64::MIN), i128::MIN, i128::MAX];
+        for v in signed {
+            let mut out = String::new();
+            write_i128(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+        let above_u64 = u128::from(u64::MAX) + 1;
+        for v in [0, 9, 10, u128::from(u64::MAX), above_u64, u128::MAX] {
+            let mut out = String::new();
+            write_u128(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+        for v in [Json::Int(i128::MIN), Json::UInt(u128::MAX)] {
+            assert_eq!(Json::parse(&v.to_string_compact()).unwrap(), v);
+        }
     }
 
     #[test]

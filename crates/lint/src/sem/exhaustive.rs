@@ -5,24 +5,22 @@
 //!   the replay path — `apply_record` or `replay_with_report` — so a new
 //!   record kind cannot be written but silently skipped (or crash) on
 //!   recovery.
-//! * Every `CheckpointState` field's wire key appears in *both* snapshot
-//!   serializers (`to_json` for replies, `write_fields` for the journal's
-//!   hand-rolled writer) *and* in the parser (`from_json`).
+//! * Every `CheckpointState` field's wire key appears in both its one
+//!   writer (`write_fields`, shared by journal records and `evicted`
+//!   replies) and its parser (`from_json`).
 //! * Every field of the engine snapshot structs (defined cross-crate in
-//!   `online/src/engine.rs`) likewise appears in its serializer, journal
-//!   writer, and parser: `EngineSnapshot` in `engine_json`/`write_engine`/
-//!   `engine_from_json`, and the nested `IntervalSnapshot` and
-//!   `MachineSnapshot` in `interval_json`/`write_interval`/
-//!   `interval_from_json` and `machine_json`/`write_machine`/
-//!   `machine_from_json`.
+//!   `online/src/engine.rs`) likewise appears in its writer and parser:
+//!   `EngineSnapshot` in `write_engine`/`engine_from_json`, and the nested
+//!   `IntervalSnapshot` and `MachineSnapshot` in `write_interval`/
+//!   `interval_from_json` and `write_machine`/`machine_from_json`.
 //!
-//! Field presence is a quoted-key containment check: the serializer must
+//! Field presence is a quoted-key containment check: the function must
 //! contain a string literal equal to the wire key or containing
-//! `"key"` (quotes included) — which matches both the tuple style
-//! `("cal_len", …)` and escaped fragments like `"{\"cal_len\":"` after
-//! the lexer's unquoting. A handful of fields serialize under different
-//! wire keys (`config` flattens; `cost` writes `total_cost`); the mapping
-//! below is the authoritative translation.
+//! `"key"` (quotes included) — which matches both a parser's plain
+//! `"cal_len"` and a writer's escaped fragments like `"{\"cal_len\":"`
+//! after the lexer's unquoting. A handful of fields serialize under
+//! different wire keys (`config` flattens; `cost` writes `total_cost`);
+//! the mapping below is the authoritative translation.
 
 use crate::index::FileIndex;
 use crate::lexer::TokenKind;
@@ -33,21 +31,11 @@ use super::SemContext;
 /// Functions forming the journal replay path.
 const REPLAY_FNS: [&str; 2] = ["apply_record", "replay_with_report"];
 
-/// Engine snapshot structs and their protocol.rs serializer, journal
-/// writer, and parser.
-const ENGINE_ROUND_TRIPS: [(&str, [&str; 3]); 3] = [
-    (
-        "EngineSnapshot",
-        ["engine_json", "write_engine", "engine_from_json"],
-    ),
-    (
-        "IntervalSnapshot",
-        ["interval_json", "write_interval", "interval_from_json"],
-    ),
-    (
-        "MachineSnapshot",
-        ["machine_json", "write_machine", "machine_from_json"],
-    ),
+/// Engine snapshot structs and their protocol.rs writer and parser.
+const ENGINE_ROUND_TRIPS: [(&str, [&str; 2]); 3] = [
+    ("EngineSnapshot", ["write_engine", "engine_from_json"]),
+    ("IntervalSnapshot", ["write_interval", "interval_from_json"]),
+    ("MachineSnapshot", ["write_machine", "machine_from_json"]),
 ];
 
 /// Wire keys a `CheckpointState` field serializes under. `config` is
@@ -79,8 +67,9 @@ fn body_has_key(idx: &FileIndex<'_>, name: &str, owner: Option<&str>, key: &str)
     Some(false)
 }
 
-/// Checks one struct's fields against serializer/parser functions living
-/// in `fns_in`, reporting findings anchored at the field definitions.
+/// Checks one struct's fields against its writer and parser functions
+/// living in `fns_in`, reporting findings anchored at the field
+/// definitions.
 fn check_struct_round_trip(
     struct_idx: &FileIndex<'_>,
     struct_name: &str,
@@ -99,7 +88,7 @@ fn check_struct_round_trip(
                 file: fns_in.file.rel.clone(),
                 line: 1,
                 message: format!(
-                    "`{struct_name}` serializer/parser `{fn_name}` not found — the \
+                    "`{struct_name}` writer/parser `{fn_name}` not found — the \
                      exhaustiveness check has nothing to verify against"
                 ),
             });
@@ -181,7 +170,6 @@ pub fn check(ctx: &SemContext<'_>) -> Vec<Finding> {
             "CheckpointState",
             protocol,
             &[
-                ("to_json", Some("CheckpointState")),
                 ("write_fields", Some("CheckpointState")),
                 ("from_json", Some("CheckpointState")),
             ],

@@ -298,9 +298,6 @@ pub struct CheckpointState {
     pub cost: u128,
 }
 impl CheckpointState {
-    pub fn to_json(&self) -> String {
-        format!("{{\"now\":{},\"total_cost\":{}}}", self.now, self.cost)
-    }
     pub fn write_fields(&self, out: &mut String) {
         out.push_str("\"now\":");
         out.push_str("\"total_cost\":");
@@ -330,9 +327,6 @@ pub struct IntervalSnapshot {
     let protocol = |writer_reason: &str| {
         format!(
             r#"
-fn interval_json(iv: &IntervalSnapshot) -> String {{
-    format!("{{{{\"start\":{{}},\"reason\":{{}}}}}}", iv.start, iv.reason)
-}}
 fn write_interval(out: &mut String, iv: &IntervalSnapshot) {{
     out.push_str("{{\"start\":");
     out.push_str("{writer_reason}");
@@ -352,7 +346,7 @@ fn interval_from_json(s: &str) -> IntervalSnapshot {{
         let findings = check_files(&files, None, Some("`error`".to_string()));
         rules_of(&findings, RuleId::JournalExhaustiveness)
     };
-    // All three functions carry both keys: clean.
+    // Writer and parser both carry both keys: clean.
     assert!(l9(protocol(r#",\"reason\":"#)).is_empty());
     // The journal writer drops `reason` → one finding, on the field line.
     assert_eq!(

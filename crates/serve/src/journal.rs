@@ -136,18 +136,18 @@ impl JournalRecord {
         )
     }
 
-    /// Serializes the record as one compact JSON object.
-    pub fn to_json(&self) -> Json {
-        if let JournalRecord::Checkpoint(state) = self {
-            return match state.to_json() {
-                Json::Obj(mut fields) => {
-                    fields.insert(0, ("op".to_string(), Json::Str("checkpoint".to_string())));
-                    Json::Obj(fields)
-                }
-                other => other,
-            };
-        }
+    /// The record's newline-terminated journal line. Checkpoints, whose
+    /// size scales with the engine state, are written directly into the
+    /// line; the small request records go through a `Json` tree.
+    pub fn to_line(&self) -> String {
         let mut fields: Vec<(&'static str, Json)> = match self {
+            JournalRecord::Checkpoint(state) => {
+                let mut line = String::with_capacity(state.line_capacity_hint());
+                line.push_str("{\"op\":\"checkpoint\",");
+                state.write_fields(&mut line);
+                line.push_str("}\n");
+                return line;
+            }
             JournalRecord::Hello {
                 tenant,
                 machines,
@@ -170,28 +170,11 @@ impl JournalRecord {
                 vec![("op", "tick".to_json()), ("now", now.to_json())]
             }
             JournalRecord::Drain { .. } => vec![("op", "drain".to_json())],
-            // Handled by the early return above.
-            JournalRecord::Checkpoint(_) => Vec::new(),
         };
         if let Some(s) = self.seq() {
             fields.push(("seq", s.to_json()));
         }
-        Json::obj(fields)
-    }
-
-    /// The record's newline-terminated journal line. Checkpoints — whose
-    /// serialized size scales with the engine state — bypass the `Json`
-    /// tree and serialize directly into the buffer; the output is
-    /// byte-identical to `to_json().to_string_compact()` either way.
-    pub fn to_line(&self) -> String {
-        if let JournalRecord::Checkpoint(state) = self {
-            let mut line = String::with_capacity(state.line_capacity_hint());
-            line.push_str("{\"op\":\"checkpoint\",");
-            state.write_fields(&mut line);
-            line.push_str("}\n");
-            return line;
-        }
-        let mut line = self.to_json().to_string_compact();
+        let mut line = Json::obj(fields).to_string_compact();
         line.push('\n');
         line
     }
@@ -690,8 +673,7 @@ mod tests {
             JournalRecord::Drain { seq: None },
         ];
         for r in &records {
-            let line = r.to_json().to_string_compact();
-            let back = JournalRecord::from_json(&Json::parse(&line).unwrap()).unwrap();
+            let back = JournalRecord::from_json(&Json::parse(&r.to_line()).unwrap()).unwrap();
             assert_eq!(&back, r);
         }
     }
@@ -785,14 +767,10 @@ mod tests {
         let dir = tmp("ckpt-rt");
         let s = journaled_session(&dir);
         let record = JournalRecord::Checkpoint(Box::new(s.checkpoint_state()));
-        let line = record.to_json().to_string_compact();
-        let back = JournalRecord::from_json(&Json::parse(&line).unwrap()).unwrap();
+        let back = JournalRecord::from_json(&Json::parse(&record.to_line()).unwrap()).unwrap();
         assert_eq!(back, record);
         assert!(back.is_sync_point());
         assert_eq!(back.seq(), None);
-        // The direct writer used on the hot path is byte-identical to the
-        // `Json`-tree renderer.
-        assert_eq!(record.to_line(), format!("{line}\n"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -507,9 +507,9 @@ impl Reply {
         }
     }
 
-    /// Serializes the reply as one compact JSON line (no trailing newline).
-    pub fn to_json(&self) -> Json {
-        match self {
+    /// The serialized line: one compact JSON object, newline included.
+    pub fn to_line(&self) -> String {
+        let tree = match self {
             Reply::Ok { tenant, seq } => {
                 let mut fields = vec![
                     ("type", Json::Str("ok".to_string())),
@@ -652,14 +652,21 @@ impl Reply {
                 put_seq(&mut fields, *seq);
                 Json::obj(fields)
             }
+            // A checkpoint payload is large: write it directly, as the
+            // journal does, instead of through a `Json` tree.
             Reply::Evicted { state, seq } => {
-                let mut fields = vec![
-                    ("type", Json::Str("evicted".to_string())),
-                    ("tenant", Json::Str(state.tenant.clone())),
-                    ("state", state.to_json()),
-                ];
-                put_seq(&mut fields, *seq);
-                Json::obj(fields)
+                let mut line = String::with_capacity(state.line_capacity_hint());
+                line.push_str("{\"type\":\"evicted\",\"tenant\":");
+                json::write_json_string(&mut line, &state.tenant);
+                line.push_str(",\"state\":{");
+                state.write_fields(&mut line);
+                line.push('}');
+                if let Some(s) = seq {
+                    line.push_str(",\"seq\":");
+                    json::write_u128(&mut line, u128::from(*s));
+                }
+                line.push_str("}\n");
+                return line;
             }
             Reply::Error {
                 code,
@@ -682,12 +689,8 @@ impl Reply {
                 put_seq(&mut fields, *seq);
                 Json::obj(fields)
             }
-        }
-    }
-
-    /// The serialized line, newline included.
-    pub fn to_line(&self) -> String {
-        let mut line = self.to_json().to_string_compact();
+        };
+        let mut line = tree.to_string_compact();
         line.push('\n');
         line
     }
@@ -723,138 +726,20 @@ pub struct CheckpointState {
     pub engine: EngineSnapshot,
 }
 
-fn pair_json<A: ToJson, B: ToJson>(a: &A, b: &B) -> Json {
-    Json::Arr(vec![a.to_json(), b.to_json()])
-}
-
-fn opt_usize_json(v: Option<usize>) -> Json {
-    match v {
-        Some(i) => i.to_json(),
-        None => Json::Null,
-    }
-}
-
-fn engine_config_json(c: &EngineConfig) -> Json {
-    Json::obj([
-        ("max_steps", c.max_steps.to_json()),
-        ("max_decides_per_step", c.max_decides_per_step.to_json()),
-        ("time_skip", Json::Bool(c.time_skip)),
-    ])
-}
-
-fn machine_json(m: &MachineSnapshot) -> Json {
-    Json::obj([
-        (
-            "coverage",
-            Json::Arr(m.coverage.iter().map(|(b, e)| pair_json(b, e)).collect()),
-        ),
-        ("used_until", m.used_until.to_json()),
-        (
-            "reservations",
-            Json::Arr(
-                m.reservations
-                    .iter()
-                    .map(|(slot, job, interval)| {
-                        Json::Arr(vec![
-                            slot.to_json(),
-                            job.to_json(),
-                            opt_usize_json(*interval),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn interval_json(iv: &IntervalSnapshot) -> Json {
-    Json::obj([
-        ("machine", iv.machine.to_json()),
-        ("start", iv.start.to_json()),
-        ("reason", iv.reason.as_str().to_json()),
-        (
-            "jobs",
-            Json::Arr(iv.jobs.iter().map(|(j, s)| pair_json(j, s)).collect()),
-        ),
-    ])
-}
-
-fn engine_json(e: &EngineSnapshot) -> Json {
-    let mut fields = vec![
-        ("cal_len", e.cal_len.to_json()),
-        ("cal_cost", e.cal_cost.to_json()),
-        ("config", engine_config_json(&e.config)),
-        ("known", e.known.to_json()),
-        ("pending", e.pending.to_json()),
-        ("waiting", e.waiting.to_json()),
-        (
-            "machines",
-            Json::Arr(e.machines.iter().map(machine_json).collect()),
-        ),
-        (
-            "intervals",
-            Json::Arr(e.intervals.iter().map(interval_json).collect()),
-        ),
-        ("rr_next", e.rr_next.to_json()),
-        ("assignments", e.assignments.to_json()),
-        ("fuel", e.fuel.to_json()),
-        ("clock", e.clock.to_json()),
-        ("started", Json::Bool(e.started)),
-        ("cal_mark", e.cal_mark.to_json()),
-        ("asg_mark", e.asg_mark.to_json()),
-    ];
-    if let Some(c) = e.cursor {
-        fields.push(("cursor", c.to_json()));
-    }
-    Json::obj(fields)
-}
-
-// --- direct checkpoint serialization ---------------------------------
+// --- checkpoint serialization ----------------------------------------
 //
 // A checkpoint line carries thousands of jobs, assignments, and
-// intervals; building the intermediate `Json` tree allocates per key and
-// dominates the checkpoint hot path. These writers emit byte-identical
-// compact output straight into the line buffer (asserted against the
-// tree renderer in the journal tests).
-
-/// Manual decimal formatting: at tens of thousands of integers per
-/// checkpoint line, `write!`'s formatting machinery costs several times
-/// the digits themselves.
-fn push_u128(out: &mut String, mut v: u128) {
-    let mut buf = [0u8; 39];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + u8::try_from(v % 10).unwrap_or(0);
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).unwrap_or(""));
-}
-
-fn push_i64(out: &mut String, v: i64) {
-    if v < 0 {
-        out.push('-');
-    }
-    push_u128(out, u128::from(v.unsigned_abs()));
-}
-
-fn push_usize(out: &mut String, v: usize) {
-    push_u128(out, u128::try_from(v).unwrap_or(u128::MAX));
-}
-
-fn push_bool(out: &mut String, v: bool) {
-    out.push_str(if v { "true" } else { "false" });
-}
+// intervals, so the writers below emit compact JSON straight into the
+// line buffer instead of building a `Json` tree that allocates per key.
+// They are the only checkpoint encoder: journal appends, compaction, and
+// the `evicted` reply all go through `CheckpointState::write_fields`.
 
 fn write_id_list(out: &mut String, ids: &[JobId]) {
     for (i, id) in ids.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        push_u128(out, u128::from(id.0));
+        json::write_u128(out, u128::from(id.0));
     }
 }
 
@@ -865,25 +750,25 @@ fn write_machine(out: &mut String, m: &MachineSnapshot) {
             out.push(',');
         }
         out.push('[');
-        push_i64(out, *b);
+        json::write_i128(out, i128::from(*b));
         out.push(',');
-        push_i64(out, *e);
+        json::write_i128(out, i128::from(*e));
         out.push(']');
     }
     out.push_str("],\"used_until\":");
-    push_i64(out, m.used_until);
+    json::write_i128(out, i128::from(m.used_until));
     out.push_str(",\"reservations\":[");
     for (i, (slot, job, interval)) in m.reservations.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push('[');
-        push_i64(out, *slot);
+        json::write_i128(out, i128::from(*slot));
         out.push(',');
-        push_u128(out, u128::from(job.0));
+        json::write_u128(out, u128::from(job.0));
         out.push(',');
         match interval {
-            Some(iv) => push_usize(out, *iv),
+            Some(iv) => json::write_u128(out, u128::try_from(*iv).unwrap_or(u128::MAX)),
             None => out.push_str("null"),
         }
         out.push(']');
@@ -893,9 +778,9 @@ fn write_machine(out: &mut String, m: &MachineSnapshot) {
 
 fn write_interval(out: &mut String, iv: &IntervalSnapshot) {
     out.push_str("{\"machine\":");
-    push_u128(out, u128::from(iv.machine.0));
+    json::write_u128(out, u128::from(iv.machine.0));
     out.push_str(",\"start\":");
-    push_i64(out, iv.start);
+    json::write_i128(out, i128::from(iv.start));
     out.push_str(",\"reason\":");
     json::write_json_string(out, &iv.reason);
     out.push_str(",\"jobs\":[");
@@ -904,9 +789,9 @@ fn write_interval(out: &mut String, iv: &IntervalSnapshot) {
             out.push(',');
         }
         out.push('[');
-        push_u128(out, u128::from(j.0));
+        json::write_u128(out, u128::from(j.0));
         out.push(',');
-        push_i64(out, *s);
+        json::write_i128(out, i128::from(*s));
         out.push(']');
     }
     out.push_str("]}");
@@ -914,26 +799,26 @@ fn write_interval(out: &mut String, iv: &IntervalSnapshot) {
 
 fn write_engine(out: &mut String, e: &EngineSnapshot) {
     out.push_str("{\"cal_len\":");
-    push_i64(out, e.cal_len);
+    json::write_i128(out, i128::from(e.cal_len));
     out.push_str(",\"cal_cost\":");
-    push_u128(out, e.cal_cost);
+    json::write_u128(out, e.cal_cost);
     out.push_str(",\"config\":{\"max_steps\":");
-    push_u128(out, u128::from(e.config.max_steps));
+    json::write_u128(out, u128::from(e.config.max_steps));
     out.push_str(",\"max_decides_per_step\":");
-    push_u128(out, u128::from(e.config.max_decides_per_step));
+    json::write_u128(out, u128::from(e.config.max_decides_per_step));
     out.push_str(",\"time_skip\":");
-    push_bool(out, e.config.time_skip);
+    out.push_str(if e.config.time_skip { "true" } else { "false" });
     out.push_str("},\"known\":[");
     for (i, j) in e.known.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("{\"id\":");
-        push_u128(out, u128::from(j.id.0));
+        json::write_u128(out, u128::from(j.id.0));
         out.push_str(",\"release\":");
-        push_i64(out, j.release);
+        json::write_i128(out, i128::from(j.release));
         out.push_str(",\"weight\":");
-        push_u128(out, u128::from(j.weight));
+        json::write_u128(out, u128::from(j.weight));
         out.push('}');
     }
     out.push_str("],\"pending\":[");
@@ -955,33 +840,33 @@ fn write_engine(out: &mut String, e: &EngineSnapshot) {
         write_interval(out, iv);
     }
     out.push_str("],\"rr_next\":");
-    push_usize(out, e.rr_next);
+    json::write_u128(out, u128::try_from(e.rr_next).unwrap_or(u128::MAX));
     out.push_str(",\"assignments\":[");
     for (i, a) in e.assignments.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("{\"job\":");
-        push_u128(out, u128::from(a.job.0));
+        json::write_u128(out, u128::from(a.job.0));
         out.push_str(",\"start\":");
-        push_i64(out, a.start);
+        json::write_i128(out, i128::from(a.start));
         out.push_str(",\"machine\":");
-        push_u128(out, u128::from(a.machine.0));
+        json::write_u128(out, u128::from(a.machine.0));
         out.push('}');
     }
     out.push_str("],\"fuel\":");
-    push_u128(out, u128::from(e.fuel));
+    json::write_u128(out, u128::from(e.fuel));
     out.push_str(",\"clock\":");
-    push_i64(out, e.clock);
+    json::write_i128(out, i128::from(e.clock));
     out.push_str(",\"started\":");
-    push_bool(out, e.started);
+    out.push_str(if e.started { "true" } else { "false" });
     out.push_str(",\"cal_mark\":");
-    push_usize(out, e.cal_mark);
+    json::write_u128(out, u128::try_from(e.cal_mark).unwrap_or(u128::MAX));
     out.push_str(",\"asg_mark\":");
-    push_usize(out, e.asg_mark);
+    json::write_u128(out, u128::try_from(e.asg_mark).unwrap_or(u128::MAX));
     if let Some(c) = e.cursor {
         out.push_str(",\"cursor\":");
-        push_i64(out, c);
+        json::write_i128(out, i128::from(c));
     }
     out.push('}');
 }
@@ -1194,60 +1079,48 @@ fn engine_from_json(v: &Json) -> Result<EngineSnapshot, String> {
 }
 
 impl CheckpointState {
-    /// Serializes the checkpoint as one JSON object (without the journal
-    /// record's `op` tag).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("tenant", Json::Str(self.tenant.clone())),
-            ("machines", self.config.machines.to_json()),
-            ("cal_len", self.config.cal_len.to_json()),
-            ("cal_cost", self.config.cal_cost.to_json()),
-            ("algorithm", self.config.algorithm.name().to_json()),
-            ("flow", self.flow.to_json()),
-            ("total_cost", self.cost.to_json()),
-            ("counters", self.counters.to_json()),
-            ("engine", engine_json(&self.engine)),
-        ];
-        if let Some(s) = self.last_seq {
-            fields.push(("last_seq", s.to_json()));
-        }
-        if let Some(n) = self.now {
-            fields.push(("now", n.to_json()));
-        }
-        Json::obj(fields)
+    /// The checkpoint as one compact JSON object (without the journal
+    /// record's `op` tag): the `state` payload of an `evicted` reply.
+    pub fn to_json_string(&self) -> String {
+        let mut out = String::with_capacity(self.line_capacity_hint());
+        out.push('{');
+        self.write_fields(&mut out);
+        out.push('}');
+        out
     }
 
     /// Appends the checkpoint's JSON fields — no surrounding braces — to
-    /// `out`, byte-identical to [`CheckpointState::to_json`] rendered
-    /// compactly. The journal prepends its `op` tag and the braces; the
-    /// direct write skips the `Json` tree whose per-key allocations
-    /// dominate the checkpoint hot path.
+    /// `out`. The journal prepends its `op` tag and the braces; the
+    /// `evicted` reply nests them under `state`.
     pub(crate) fn write_fields(&self, out: &mut String) {
         out.push_str("\"tenant\":");
         json::write_json_string(out, &self.tenant);
         out.push_str(",\"machines\":");
-        push_usize(out, self.config.machines);
+        json::write_u128(
+            out,
+            u128::try_from(self.config.machines).unwrap_or(u128::MAX),
+        );
         out.push_str(",\"cal_len\":");
-        push_i64(out, self.config.cal_len);
+        json::write_i128(out, i128::from(self.config.cal_len));
         out.push_str(",\"cal_cost\":");
-        push_u128(out, self.config.cal_cost);
+        json::write_u128(out, self.config.cal_cost);
         out.push_str(",\"algorithm\":\"");
         out.push_str(self.config.algorithm.name());
         out.push_str("\",\"flow\":");
-        push_u128(out, self.flow);
+        json::write_u128(out, self.flow);
         out.push_str(",\"total_cost\":");
-        push_u128(out, self.cost);
+        json::write_u128(out, self.cost);
         out.push_str(",\"counters\":");
         out.push_str(&self.counters.to_json().to_string_compact());
         out.push_str(",\"engine\":");
         write_engine(out, &self.engine);
         if let Some(s) = self.last_seq {
             out.push_str(",\"last_seq\":");
-            push_u128(out, u128::from(s));
+            json::write_u128(out, u128::from(s));
         }
         if let Some(n) = self.now {
             out.push_str(",\"now\":");
-            push_i64(out, n);
+            json::write_i128(out, i128::from(n));
         }
     }
 
@@ -1278,8 +1151,9 @@ impl CheckpointState {
                 cal_cost: f.u128("cal_cost")?,
                 algorithm,
             },
-            last_seq: v.get("last_seq").and_then(Json::as_u64),
-            now: v.get("now").and_then(Json::as_i64),
+            // Optional, but a present value must be well-typed.
+            last_seq: v.get("last_seq").map(|_| f.u64("last_seq")).transpose()?,
+            now: v.get("now").map(|_| f.i64("now")).transpose()?,
             flow: f.u128("flow")?,
             cost: f.u128("total_cost")?,
             counters: CounterSnapshot::from_json(f.req("counters")?),

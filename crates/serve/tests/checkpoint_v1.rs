@@ -146,7 +146,7 @@ fn v1_fixture_recovers_from_its_checkpoint_and_replays_only_the_tail() {
 
     // Written back, the checkpoint is in the new format: no parallel
     // arrays under `engine`, and each interval carries its own label.
-    let rewritten = recovered.checkpoint_state().to_json();
+    let rewritten = Json::parse(&recovered.checkpoint_state().to_json_string()).expect("parses");
     let engine = rewritten.get("engine").expect("engine object");
     assert!(engine.get("calibrations").is_none());
     assert!(engine.get("trace").is_none());
@@ -163,7 +163,8 @@ fn v1_fixture_recovers_from_its_checkpoint_and_replays_only_the_tail() {
 }
 
 /// A v1 checkpoint whose `trace` or `calibrations` disagree with its
-/// intervals is refused as a corrupt snapshot, both when a shard adopts it
+/// intervals, or whose optional `last_seq` or `now` is present but not an
+/// integer, is refused as a corrupt snapshot, both when a shard adopts it
 /// and when recovery meets it in a journal; recovery then falls back to
 /// full replay from the hello and still converges.
 #[test]
@@ -186,6 +187,14 @@ fn inconsistent_v1_checkpoint_is_refused_and_recovery_falls_back() {
             r#"{"machine":0,"start":14}],"assignments""#,
             r#"{"machine":1,"start":14}],"assignments""#,
         ),
+        // Optional fields may be absent, but not mistyped: a string
+        // `last_seq` would restore with no duplicate-suppression mark.
+        (
+            "mistyped-last-seq",
+            r#""last_seq":10,"#,
+            r#""last_seq":"10","#,
+        ),
+        ("mistyped-now", r#""now":16}"#, r#""now":"16"}"#),
     ];
     for (tag, from, to) in corruptions {
         assert_eq!(lines[ci].matches(from).count(), 1, "{tag}: fixture shape");

@@ -264,11 +264,11 @@ fn checkpoint_json_round_trips_byte_identically_mid_run() {
             let tenant = format!("ckpt-{}-{seed}", algorithm.name());
             let dir = TempDir::new(&tenant);
             run_journaled_session_with(&dir.0, &tenant, algorithm, &case, None, |s, group| {
-                let bytes = s.checkpoint_state().to_json().to_string_compact();
+                let bytes = s.checkpoint_state().to_json_string();
                 let restored =
                     TenantSession::restore_from_checkpoint(&s.checkpoint_state()).expect("restore");
                 assert_eq!(
-                    restored.checkpoint_state().to_json().to_string_compact(),
+                    restored.checkpoint_state().to_json_string(),
                     bytes,
                     "{tenant} group {group}: checkpoint bytes changed across restore"
                 );
@@ -417,9 +417,7 @@ fn crash_before_compaction_rename_falls_back_to_the_old_journal() {
     let path = journal_path(&dir.0, tenant);
     let tmp = compact_tmp_path(&path);
     let record = JournalRecord::Checkpoint(Box::new(live.checkpoint_state()));
-    let mut line = record.to_json().to_string_compact();
-    line.push('\n');
-    std::fs::write(&tmp, line).expect("stage scratch checkpoint");
+    std::fs::write(&tmp, record.to_line()).expect("stage scratch checkpoint");
 
     let (recovered, report) = recover_with_report(&dir.0, tenant, FsyncPolicy::Off)
         .expect("recover")
@@ -539,7 +537,7 @@ fn torn_appended_checkpoint_line_falls_back_to_full_replay() {
         writer.append(record).expect("prefix append");
     }
     drop(writer);
-    let line = records[ci].to_json().to_string_compact();
+    let line = records[ci].to_line();
     let torn = &line.as_bytes()[..line.len() / 2];
     let path = journal_path(&crash_dir.0, tenant);
     let mut f = std::fs::OpenOptions::new()

@@ -13,10 +13,10 @@
 //! process-level drill (real daemons, a real router, a real `kill -9`)
 //! lives in `tests/router_chaos.rs`.
 
-use calib_core::json::ToJson;
+use calib_core::json::{Json, ToJson};
 use calib_core::{Job, Time};
 use calib_difftest::{gen_case_sized, GenParams};
-use calib_serve::{Algorithm, CheckpointState, TenantConfig, TenantSession};
+use calib_serve::{Algorithm, CheckpointState, Reply, TenantConfig, TenantSession};
 
 /// One client-visible mutating request, pre-serialization.
 #[derive(Debug, Clone)]
@@ -113,7 +113,7 @@ fn apply(session: &mut TenantSession, steps: &[Step], from: usize) {
 /// materialized schedule, both as compact JSON.
 fn fingerprint(session: &TenantSession) -> (String, String) {
     (
-        session.checkpoint_state().to_json().to_string_compact(),
+        session.checkpoint_state().to_json_string(),
         session.schedule_snapshot().to_json().to_string_compact(),
     )
 }
@@ -197,8 +197,8 @@ fn double_handoff_is_idempotent() {
         .unwrap_or_else(|e| panic!("restore B: {} {}", e.code, e.message));
     let second = hop_b.checkpoint_state();
     assert_eq!(
-        first.to_json().to_string_compact(),
-        second.to_json().to_string_compact(),
+        first.to_json_string(),
+        second.to_json_string(),
         "checkpoint payload drifted across a restore"
     );
     let mut hop_a = TenantSession::restore_from_checkpoint(&second)
@@ -213,9 +213,10 @@ fn double_handoff_is_idempotent() {
     );
 }
 
-/// The checkpoint wire payload survives serialization: JSON round-trip
-/// through `CheckpointState::from_json` (what `adopt` receives) restores
-/// to the same state as the in-memory handoff.
+/// The checkpoint survives the real migration wire: the source shard's
+/// `evicted` reply line, parsed and decoded from its `state` the way
+/// `adopt` receives it, restores to the same state as the in-memory
+/// handoff.
 #[test]
 fn checkpoint_survives_the_wire() {
     let (algorithm, params) = plans().remove(2);
@@ -232,9 +233,14 @@ fn checkpoint_survives_the_wire() {
         .unwrap_or_else(|e| panic!("pre-cut #{k}: {} {}", e.code, e.message));
     }
     let state = session.checkpoint_state();
-    let wire = state.to_json().to_string_compact();
-    let parsed = calib_core::json::Json::parse(&wire).expect("checkpoint JSON parses");
-    let decoded = CheckpointState::from_json(&parsed)
+    let wire = Reply::Evicted {
+        state: Box::new(state.clone()),
+        seq: Some(9),
+    }
+    .to_line();
+    let parsed = Json::parse(&wire).expect("evicted reply parses");
+    let payload = parsed.get("state").expect("evicted reply carries `state`");
+    let decoded = CheckpointState::from_json(payload)
         .unwrap_or_else(|e| panic!("checkpoint failed the wire round-trip: {e}"));
     let mut via_wire = TenantSession::restore_from_checkpoint(&decoded)
         .unwrap_or_else(|e| panic!("restore from wire: {} {}", e.code, e.message));
